@@ -17,6 +17,14 @@ measured and reported in the record but not gated — a CI runner's disk
 should not fail the build.  The record is written to
 ``BENCH_checkpoint.json`` at the repo root (CI uploads it as an
 artifact).
+
+A second guard times the service's tenant copy — the snapshot and
+restore every attach, refresh and shard move pays — on a 128x128
+tenant, and requires each to stay at least
+:data:`MIN_TENANT_SPEEDUP` times faster than the same work through the
+per-cell :class:`~repro.rag.matrix.StateMatrix` reference.  A ratio of
+two timings on one host does not depend on the host's speed.  Both
+guards merge their figures into the one record.
 """
 
 import json
@@ -26,7 +34,7 @@ from pathlib import Path
 
 from benchmarks.conftest import bench_once
 from repro.apps.jini import run_jini_app
-from repro.checkpoint.protocol import write_snapshot
+from repro.checkpoint.protocol import open_envelope, write_snapshot
 from repro.checkpoint.scenario import DEFAULT_CADENCE
 from repro.deadlock.ddu import DDU
 from repro.experiments import table5_ddu_vs_pdda
@@ -34,11 +42,27 @@ from repro.framework.builder import build_system
 from repro.rag.generate import random_state
 from repro.rag.graph import RAG
 from repro.rag.matrix import StateMatrix
+from repro.service.tenant import SNAPSHOT_KIND as TENANT_KIND
+from repro.service.tenant import Tenant
 
 RECORD_PATH = Path(__file__).resolve().parent.parent \
     / "BENCH_checkpoint.json"
 
 GRANT_RELEASE = ("resource_granted", "resource_released")
+
+#: The detect-wide tenant shape of the service benchmark.
+TENANT_SIDE = 128
+#: Tenant snapshot and restore must each beat the per-cell reference
+#: by at least this factor.
+MIN_TENANT_SPEEDUP = 5.0
+
+
+def _update_record(fields: dict) -> None:
+    """Merge one guard's figures into ``BENCH_checkpoint.json``."""
+    record = (json.loads(RECORD_PATH.read_text())
+              if RECORD_PATH.exists() else {})
+    record.update(fields)
+    RECORD_PATH.write_text(json.dumps(record, indent=2) + "\n")
 
 
 def _capture_events(config):
@@ -151,7 +175,7 @@ def test_bench_checkpoint_under_5_percent_of_table5(benchmark, tmp_path):
         "overhead_fraction": overhead / clean_seconds,
         "bound": 0.05,
     }
-    RECORD_PATH.write_text(json.dumps(record, indent=2) + "\n")
+    _update_record(record)
     benchmark.extra_info["checkpoint_overhead"] = record
 
 
@@ -167,3 +191,51 @@ def test_bench_snapshot_roundtrip_cost(benchmark):
 
     digest = bench_once(benchmark, cycle)
     assert digest == rag.snapshot_state()["state_hash"]
+
+
+def _reference_tenant_restore(envelope: dict) -> StateMatrix:
+    """What :meth:`Tenant.restore_state` does, with the matrix rebuilt
+    one cell at a time."""
+    state = open_envelope(envelope, kind=TENANT_KIND)
+    return StateMatrix.restore_state(state["matrix"])
+
+
+def test_bench_tenant_snapshot_restore_vs_reference(benchmark):
+    spec = {"m": TENANT_SIDE, "n": TENANT_SIDE, "seed": 5}
+    tenant = Tenant.from_attach("bench", spec)
+    reference = Tenant("bench", StateMatrix.from_matrix(tenant.matrix))
+    envelope = tenant.snapshot_state()
+    assert (reference.snapshot_state()["state"]["matrix"]["state_hash"]
+            == envelope["state"]["matrix"]["state_hash"])
+
+    def cycle():
+        return Tenant.restore_state(tenant.snapshot_state())
+
+    restored = bench_once(benchmark, cycle)
+    assert restored.snapshot_state()["state_hash"] == envelope["state_hash"]
+
+    snapshot = _best(tenant.snapshot_state, loops=20)
+    restore = _best(lambda: Tenant.restore_state(envelope), loops=20)
+    snapshot_ref = _best(reference.snapshot_state, loops=3)
+    restore_ref = _best(lambda: _reference_tenant_restore(envelope),
+                        loops=3)
+    fields = {
+        "tenant_side": TENANT_SIDE,
+        "tenant_snapshot_us": snapshot * 1e6,
+        "tenant_restore_us": restore * 1e6,
+        "tenant_snapshot_reference_us": snapshot_ref * 1e6,
+        "tenant_restore_reference_us": restore_ref * 1e6,
+        "tenant_snapshot_speedup": snapshot_ref / snapshot,
+        "tenant_restore_speedup": restore_ref / restore,
+        "tenant_min_speedup": MIN_TENANT_SPEEDUP,
+    }
+    _update_record(fields)
+    benchmark.extra_info["tenant_snapshot_restore"] = fields
+    assert fields["tenant_snapshot_speedup"] >= MIN_TENANT_SPEEDUP, (
+        f"{TENANT_SIDE}x{TENANT_SIDE} tenant snapshot "
+        f"{snapshot * 1e6:.0f}us is not {MIN_TENANT_SPEEDUP:.0f}x faster "
+        f"than the per-cell reference's {snapshot_ref * 1e6:.0f}us")
+    assert fields["tenant_restore_speedup"] >= MIN_TENANT_SPEEDUP, (
+        f"{TENANT_SIDE}x{TENANT_SIDE} tenant restore "
+        f"{restore * 1e6:.0f}us is not {MIN_TENANT_SPEEDUP:.0f}x faster "
+        f"than the per-cell reference's {restore_ref * 1e6:.0f}us")

@@ -38,14 +38,11 @@ from __future__ import annotations
 import os
 from typing import Iterable, Optional, Union
 
-from repro.errors import ConfigurationError, ResourceProtocolError
+from repro.checkpoint.protocol import snapshot_envelope
+from repro.errors import CheckpointError, ConfigurationError, \
+    ResourceProtocolError
 from repro.rag.graph import RAG
-from repro.rag.matrix import (
-    CellState,
-    StateMatrix,
-    matrix_snapshot_state,
-    open_matrix_envelope,
-)
+from repro.rag.matrix import CellState, StateMatrix, open_matrix_envelope
 
 #: The word-parallel integer-bitmask backend (the fast path).
 FAST_BACKEND = "bitmask"
@@ -57,6 +54,25 @@ NATIVE_BACKEND = "native"
 BACKENDS = (FAST_BACKEND, REFERENCE_BACKEND, NATIVE_BACKEND)
 #: Environment escape hatch: ``REPRO_MATRIX_BACKEND=reference``.
 BACKEND_ENV_VAR = "REPRO_MATRIX_BACKEND"
+
+# -- text rows <-> bit planes ----------------------------------------------------
+#
+# Snapshot rows are ``"g r . ..."`` text.  Both directions go through
+# one ``0``/``1`` digit string per plane, so the per-cell work runs in
+# C string/int routines instead of one Python call per cell.
+
+#: The four cell tokens :meth:`StateMatrix.from_rows` accepts.
+_CELL_TOKENS = frozenset("gr.0")
+#: Deletes every valid token: whatever survives is a bad one.
+_DROP_TOKENS = str.maketrans("", "", "gr.0")
+#: A cell token as its grant-plane / request-plane digit.
+_GRANT_DIGITS = str.maketrans("gr.0", "1000")
+_REQUEST_DIGITS = str.maketrans("gr.0", "0100")
+#: Binary digits are ASCII 0x30/0x31, so per byte ``grant + 2 *
+#: request`` is 0x90 plus the cell's 2-bit code (r high, g low, as in
+#: Definition 6) — no carry crosses a byte.  0x93 cannot occur (the
+#: planes are disjoint); it reads as ``r``, the precedence of ``get``.
+_CELL_SYMBOLS = bytes.maketrans(b"\x90\x91\x92\x93", b".grr")
 
 
 class BitMatrix:
@@ -99,16 +115,87 @@ class BitMatrix:
         matrix = cls(rag.num_resources, rag.num_processes,
                      resource_names=rag.resources,
                      process_names=rag.processes)
+        row_of = {q: s for s, q in enumerate(matrix.resource_names)}
+        column_of = {p: t for t, p in enumerate(matrix.process_names)}
+        row_r, col_r = matrix._row_r, matrix._col_r
         for p, q in rag.request_edges():
-            matrix.set_request(rag.resource_index(q), rag.process_index(p))
+            s, t = row_of[q], column_of[p]
+            bit = 1 << t
+            if row_r[s] & bit:
+                raise ResourceProtocolError(f"cell ({s},{t}) already REQUEST")
+            row_r[s] |= bit
+            col_r[t] |= 1 << s
+            matrix._edges += 1
+        # At most one grant per row, so the checked setter is cheap.
         for q, p in rag.grant_edges():
-            matrix.set_grant(rag.resource_index(q), rag.process_index(p))
+            matrix.set_grant(row_of[q], column_of[p])
         return matrix
 
     @classmethod
     def from_rows(cls, rows: Iterable[str]) -> "BitMatrix":
-        """Build from compact text rows, e.g. ``["g r .", "r g ."]``."""
-        return cls.from_matrix(StateMatrix.from_rows(rows))
+        """Build from compact text rows, e.g. ``["g r .", "r g ."]``.
+
+        Accepts and refuses exactly what :meth:`StateMatrix.from_rows`
+        does, with the same messages in the same order: the first bad
+        token, then no rows, then ragged rows.
+        """
+        row_cells = []
+        for row in rows:
+            cells = row[::2]
+            if (row[1::2] != " " * (len(cells) - 1)
+                    or cells.translate(_DROP_TOKENS)):
+                # Not the single-spaced form snapshots write: split on
+                # any whitespace, and find the bad token if there is one.
+                tokens = row.split()
+                cells = "".join(tokens)
+                if (len(cells) != len(tokens)
+                        or cells.translate(_DROP_TOKENS)):
+                    bad = next(token for token in tokens
+                               if token not in _CELL_TOKENS)
+                    raise ResourceProtocolError(f"bad cell token {bad!r}")
+            row_cells.append(cells)
+        if not row_cells:
+            raise ResourceProtocolError("no rows given")
+        widths = {len(cells) for cells in row_cells}
+        if len(widths) != 1:
+            raise ResourceProtocolError("ragged rows")
+        matrix = cls(len(row_cells), widths.pop())
+        matrix._load_cells("".join(row_cells))
+        return matrix
+
+    def _load_cells(self, cells: str) -> None:
+        """Set the planes from row-major cell tokens, column 0 first."""
+        m, n = self.m, self.n
+        # Reversed, the text runs from the last row's last column, so
+        # every row slice and every stride-n column slice reads most
+        # significant digit first, as ``int(digits, 2)`` wants.
+        backwards = cells[::-1]
+        for table, rows, columns in (
+                (_GRANT_DIGITS, self._row_g, self._col_g),
+                (_REQUEST_DIGITS, self._row_r, self._col_r)):
+            digits = backwards.translate(table)
+            rows[:] = [int(digits[lo:lo + n], 2)
+                       for lo in range(0, m * n, n)][::-1]
+            columns[:] = [int(digits[lo::n], 2) for lo in range(n)][::-1]
+        self._edges = sum(map(int.bit_count, self._row_g + self._row_r))
+
+    def _text_rows(self) -> list[str]:
+        """Every row as ``"g r . ..."`` text, identical to the per-cell
+        rendering of :class:`StateMatrix`."""
+        m, n = self.m, self.n
+        digits = f"0{n}b"
+        # Last row first, each row's last column first: reversing the
+        # summed bytes then lays the cells out row-major, column 0 first.
+        grants = "".join([format(g, digits) for g in reversed(self._row_g)])
+        requests = "".join([format(r, digits)
+                            for r in reversed(self._row_r)])
+        codes = (int.from_bytes(grants.encode(), "big")
+                 + 2 * int.from_bytes(requests.encode(), "big"))
+        spaced = bytearray(b" ") * (2 * m * n)
+        spaced[::2] = codes.to_bytes(m * n, "big")[::-1].translate(
+            _CELL_SYMBOLS)
+        text = spaced.decode()
+        return [text[lo:lo + 2 * n - 1] for lo in range(0, 2 * m * n, 2 * n)]
 
     @classmethod
     def from_matrix(cls, other: "AnyStateMatrix") -> "BitMatrix":
@@ -179,8 +266,13 @@ class BitMatrix:
         The payload is identical to the :class:`StateMatrix` payload for
         the same state — ``state_hash`` is representation-independent,
         so BitMatrix <-> StateMatrix conversions are hash-preserving.
+        The rows are rendered from the bit planes, not cell by cell.
         """
-        return matrix_snapshot_state(self, self.SNAPSHOT_KIND)
+        return snapshot_envelope(self.SNAPSHOT_KIND, {
+            "resource_names": list(self.resource_names),
+            "process_names": list(self.process_names),
+            "rows": self._text_rows(),
+        })
 
     @classmethod
     def restore_state(cls, envelope: dict) -> "BitMatrix":
@@ -190,7 +282,6 @@ class BitMatrix:
         matrix.resource_names = list(state["resource_names"])
         matrix.process_names = list(state["process_names"])
         if len(matrix.process_names) != matrix.n:
-            from repro.errors import CheckpointError
             raise CheckpointError(
                 "matrix snapshot: process_names length != n")
         return matrix

@@ -99,8 +99,9 @@ class RAG:
     def request_edges(self) -> Iterator[tuple[str, str]]:
         """All (process, resource) request edges in canonical order."""
         for p in self._processes:
+            requests = self._requests[p]
             for q in self._resources:
-                if q in self._requests[p]:
+                if q in requests:
                     yield (p, q)
 
     def grant_edges(self) -> Iterator[tuple[str, str]]:

@@ -50,18 +50,6 @@ class CellState(enum.IntEnum):
 MATRIX_SNAPSHOT_KINDS = ("rag.matrix", "rag.bitmatrix")
 
 
-def matrix_snapshot_state(matrix, kind: str) -> dict:
-    """Shared snapshot payload for any class speaking the cell protocol."""
-    from repro.checkpoint.protocol import snapshot_envelope
-    rows = [" ".join(matrix.get(s, t).symbol() for t in range(matrix.n))
-            for s in range(matrix.m)]
-    return snapshot_envelope(kind, {
-        "resource_names": list(matrix.resource_names),
-        "process_names": list(matrix.process_names),
-        "rows": rows,
-    })
-
-
 def open_matrix_envelope(envelope: dict) -> dict:
     """Validate a matrix envelope of either backend kind."""
     from repro.checkpoint.protocol import envelope_kind, open_envelope
@@ -207,8 +195,20 @@ class StateMatrix:
     # -- checkpoint protocol -----------------------------------------------------
 
     def snapshot_state(self) -> dict:
-        """Versioned, hashed snapshot (see :mod:`repro.checkpoint`)."""
-        return matrix_snapshot_state(self, self.SNAPSHOT_KIND)
+        """Versioned, hashed snapshot (see :mod:`repro.checkpoint`).
+
+        Rendered one cell at a time: this is the reference payload the
+        :class:`~repro.rag.bitmatrix.BitMatrix` plane rendering must
+        reproduce byte for byte.
+        """
+        from repro.checkpoint.protocol import snapshot_envelope
+        rows = [" ".join(cell.symbol() for cell in row)
+                for row in self._cells]
+        return snapshot_envelope(self.SNAPSHOT_KIND, {
+            "resource_names": list(self.resource_names),
+            "process_names": list(self.process_names),
+            "rows": rows,
+        })
 
     @classmethod
     def restore_state(cls, envelope: dict) -> "StateMatrix":

@@ -16,8 +16,9 @@ SIGKILLs).  The front end is the durability domain:
   ``resolve_rng`` contract) and keeps the attach-time snapshot
   envelope;
 * every *acked* mutation is journaled per tenant, and the snapshot is
-  refreshed from the shard every ``snapshot_every`` mutations (the
-  journal truncates at the refresh point);
+  refreshed from the shard every ``snapshot_every`` mutations; the
+  journal holds exactly the mutations whose ``op_seq`` is past the
+  snapshot's, so it truncates by ``op_seq`` at each refresh;
 * when a shard dies — EOF on its pipe, a send failure, or a hung batch
   past ``shard_timeout`` — its tenants are restored on surviving
   shards from snapshot + journal replay, and the batch that was
@@ -117,7 +118,10 @@ class _TenantRecord:
         self.shard_id = shard_id
         #: Last known-good envelope (attach-time, then refreshed).
         self.snapshot = snapshot
-        #: Acked mutations since the snapshot (crash-replay source).
+        #: Acked mutations the snapshot does not hold (crash-replay
+        #: source).  Entry ``k`` is the one with ``op_seq`` equal to
+        #: the snapshot's plus ``k + 1``: a tenant's acked mutations
+        #: carry consecutive ``op_seq`` values.
         self.journal: list = []
         #: Queued + dispatched, not yet answered (backpressure).
         self.outstanding = 0
@@ -726,7 +730,11 @@ class DetectionService:
                     # messages carry their ``idem`` keys.)
                     self._c_deduped.inc()
                 elif op in MUTATING_OPS and record is not None:
-                    record.journal.append(message)
+                    # A refresh that ran after this batch reached the
+                    # shard already holds the mutation.
+                    if (response["op_seq"]
+                            > record.snapshot["state"]["op_seq"]):
+                        record.journal.append(message)
                     if (len(record.journal)
                             >= self.config.snapshot_every):
                         refresh.add(record.tenant_id)
@@ -766,15 +774,21 @@ class DetectionService:
         if record is None or record.migrating:
             return
         handle = self._shard(record.shard_id)
-        journal_mark = len(record.journal)
         try:
             kind, envelope = await handle.request("snapshot", tenant_id)
         except _ShardLost:
             return
         if kind != "snapshot":
             return                     # keep the older snapshot
+        # Batches dispatched after the refresh was scheduled are in the
+        # snapshot too, acked or not, so only op_seq says how much of
+        # the journal it covers.
+        covered = (envelope["state"]["op_seq"]
+                   - record.snapshot["state"]["op_seq"])
+        if covered < 0:
+            return                     # keep the newer snapshot
         record.snapshot = envelope
-        del record.journal[:journal_mark]
+        del record.journal[:covered]
 
     # -- shard loss recovery -------------------------------------------
 

@@ -41,6 +41,7 @@ from repro.rag.generate import (
     random_state,
     worst_case_state,
 )
+from repro.rag.graph import RAG
 from repro.rag.matrix import StateMatrix
 
 SEED_ROOT = 42
@@ -337,3 +338,165 @@ def test_smoke_campaign_states_agree_across_backends():
         assert fast.residual == ref.residual, scenario.scenario_id
         checked += 1
     assert checked >= 10
+
+
+# -- snapshot rows rendered and parsed from the bit planes ---------------------
+
+PLANE_WIDTHS = (1, 7, 8, 9, 63, 64, 65, 127, 128, 129)
+PLANE_SHAPES = [(side, side) for side in PLANE_WIDTHS] + [
+    (1, 129), (129, 1), (3, 64), (65, 9), (8, 127), (128, 7)]
+
+
+def _assert_same_planes(got: BitMatrix, want: BitMatrix) -> None:
+    assert (got.m, got.n) == (want.m, want.n)
+    assert got._row_g == want._row_g
+    assert got._row_r == want._row_r
+    assert got._col_g == want._col_g
+    assert got._col_r == want._col_r
+    assert got._edges == want._edges
+
+
+def _assert_snapshot_matches_reference(ref: StateMatrix) -> None:
+    """The plane route against the per-cell route, both directions."""
+    fast = BitMatrix.from_matrix(ref)
+    envelope = fast.snapshot_state()
+    expected = ref.snapshot_state()
+    assert envelope["state"] == expected["state"]
+    assert envelope["state_hash"] == expected["state_hash"]
+    restored = BitMatrix.restore_state(envelope)
+    _assert_same_planes(restored, fast)
+    assert restored.resource_names == fast.resource_names
+    assert restored.process_names == fast.process_names
+    assert StateMatrix.restore_state(envelope) == ref
+
+
+def test_snapshot_rows_every_legal_3x3_state():
+    from repro.experiments.exhaustive_bound import enumerate_states
+
+    count = 0
+    for ref in enumerate_states(3, 3):
+        _assert_snapshot_matches_reference(ref)
+        count += 1
+    assert count == 20 ** 3
+
+
+@pytest.mark.parametrize("m,n", PLANE_SHAPES,
+                         ids=[f"{m}x{n}" for m, n in PLANE_SHAPES])
+def test_snapshot_rows_seeded_widths(m, n):
+    for grant, request in ((0.6, 0.3), (1.0, 0.9), (0.0, 0.05)):
+        tag = f"planes/{m}x{n}/g{grant}/r{request}"
+        rag = random_state(m, n, grant_fraction=grant,
+                           request_fraction=request,
+                           rng=random.Random(_seed(tag)))
+        _assert_snapshot_matches_reference(StateMatrix.from_rag(rag))
+
+
+def test_snapshot_rows_keep_custom_names():
+    rag = random_state(5, 9, rng=random.Random(_seed("planes/names")))
+    ref = StateMatrix.from_rag(rag)
+    ref.resource_names = [f"lock{s}" for s in range(ref.m)]
+    ref.process_names = [f"task{t}" for t in range(ref.n)]
+    _assert_snapshot_matches_reference(ref)
+
+
+def test_from_rows_zero_token_aliases_empty():
+    rows = ["g 0 r", "0 . 0", "r r g"]
+    fast = BitMatrix.from_rows(rows)
+    _assert_same_planes(
+        fast, BitMatrix.from_matrix(StateMatrix.from_rows(rows)))
+    assert fast.snapshot_state()["state"]["rows"] == \
+        ["g . r", ". . .", "r r g"]
+
+
+@pytest.mark.parametrize("rows", [
+    ["r\tr  g", " g . r", "g . r "],
+    ["g \t", "r"],            # a tab where the single-spaced form has a cell
+    ["g\u3000r", ". ."],      # any str.split() whitespace separates
+    ["g", "r", "0"],
+], ids=repr)
+def test_from_rows_other_whitespace_matches_reference(rows):
+    _assert_same_planes(BitMatrix.from_rows(rows),
+                        BitMatrix.from_matrix(StateMatrix.from_rows(rows)))
+
+
+@pytest.mark.parametrize("rows", [
+    ["g x ."],
+    ["g . .", "g gr ."],
+    ["g .", "g . x"],          # a bad token outranks ragged rows
+    ["g _ ."],                 # int() would read "_" as a separator
+    ["1 0 0"],
+    ["+0 ."],
+    ["g . .", "g ."],
+    ["g .", "g . ."],
+    [],
+    [""],
+    ["", ""],
+    [". g", ""],
+], ids=repr)
+def test_from_rows_error_parity(rows):
+    with pytest.raises(ResourceProtocolError) as ref_err:
+        StateMatrix.from_rows(list(rows))
+    with pytest.raises(ResourceProtocolError) as fast_err:
+        BitMatrix.from_rows(iter(rows))
+    assert str(fast_err.value) == str(ref_err.value)
+
+
+def test_restore_refuses_bad_rows_like_the_reference():
+    from repro.checkpoint.protocol import snapshot_envelope
+    from repro.errors import CheckpointError
+
+    def envelope(rows, processes=("p1", "p2")):
+        return snapshot_envelope(BitMatrix.SNAPSHOT_KIND, {
+            "resource_names": [f"q{s + 1}" for s in range(len(rows))],
+            "process_names": list(processes),
+            "rows": rows,
+        })
+
+    for rows in (["g ?", ". ."], ["g .", ". . r"], []):
+        bad = envelope(rows)
+        with pytest.raises(ResourceProtocolError) as ref_err:
+            StateMatrix.restore_state(bad)
+        with pytest.raises(ResourceProtocolError) as fast_err:
+            BitMatrix.restore_state(bad)
+        assert str(fast_err.value) == str(ref_err.value)
+    short = envelope(["g .", ". r"], processes=("p1",))
+    with pytest.raises(CheckpointError, match="process_names length"):
+        BitMatrix.restore_state(short)
+    torn = envelope(["g .", ". r"])
+    torn["state"]["rows"][1] = "r r"
+    with pytest.raises(CheckpointError, match="state_hash mismatch"):
+        BitMatrix.restore_state(torn)
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (4, 9), (9, 4), (64, 64),
+                                 (65, 65), (128, 128)])
+def test_from_rag_matches_reference_route(m, n):
+    for grant in (0.3, 0.6, 1.0):
+        tag = f"from-rag/{m}x{n}/g{grant}"
+        rag = random_state(m, n, grant_fraction=grant,
+                           request_fraction=0.3,
+                           rng=random.Random(_seed(tag)))
+        fast = BitMatrix.from_rag(rag)
+        reference = BitMatrix.from_matrix(StateMatrix.from_rag(rag))
+        assert fast == reference
+        _assert_same_planes(fast, reference)
+
+
+def test_from_rag_refuses_what_the_setters_refuse():
+    class TwoHolders(RAG):
+        def grant_edges(self):
+            yield ("q1", "p1")
+            yield ("q1", "p2")
+
+    class RepeatedRequest(RAG):
+        def request_edges(self):
+            yield ("p1", "q1")
+            yield ("p1", "q1")
+
+    for cls in (TwoHolders, RepeatedRequest):
+        rag = cls(["p1", "p2"], ["q1", "q2"])
+        with pytest.raises(ResourceProtocolError) as ref_err:
+            StateMatrix.from_rag(rag)
+        with pytest.raises(ResourceProtocolError) as fast_err:
+            BitMatrix.from_rag(rag)
+        assert str(fast_err.value) == str(ref_err.value)

@@ -329,3 +329,57 @@ def test_latency_metrics_populate():
         finally:
             await _stop(service, client)
     _run(scenario())
+
+
+def test_refresh_racing_a_batch_leaves_no_applied_op_in_journal():
+    """A batch dispatched between a refresh being scheduled and its
+    snapshot lands in that snapshot; crash replay must not re-apply it.
+
+    The tick loop is parked (hour-long interval) and every tick is run
+    by hand, so the interleaving is fixed: B1 fills the journal and
+    schedules a refresh, B2 reaches the in-process shard before the
+    refresh takes its snapshot, and B2 is acked after it.
+    """
+    from repro.service.tenant import Tenant
+
+    def op(kind, process, resource):
+        return {"op": kind, "tenant": "t0", "process": process,
+                "resource": resource}
+
+    b1 = [op("claim", f"p{i}", f"q{i}") for i in (1, 2, 3)]
+    b2 = [op("claim", "p4", "q4"), op("release", "p4", "q4")]
+    twin = Tenant.from_attach("t0", {"m": 4, "n": 4})
+    for message in b1 + b2:
+        getattr(twin, message["op"])(message)
+
+    async def scenario():
+        service = DetectionService(ServiceConfig(
+            shards=2, use_processes=False, tick_interval=3600.0,
+            snapshot_every=3))
+        await service.start()
+        try:
+            attach = service.submit({"op": "attach", "tenant": "t0",
+                                     "m": 4, "n": 4})
+            service._run_tick()
+            assert (await attach)["ok"]
+            first = [service.submit(message) for message in b1]
+            service._run_tick()
+            for future in first:
+                assert (await future)["ok"]
+            record = service.tenants["t0"]
+            assert record.snapshot["state"]["op_seq"] == 0  # not yet run
+            second = [service.submit(message) for message in b2]
+            service._run_tick()
+            for future in second:
+                assert (await future)["ok"]
+            assert record.snapshot["state"]["op_seq"] == 5
+            service.shards[record.shard_id].crash()
+            kind, envelope = await service.shards[
+                record.shard_id].request("snapshot", "t0")
+            assert kind == "snapshot"
+            assert envelope["state"]["op_seq"] == twin.op_seq == 5
+            assert envelope["state_hash"] == \
+                twin.snapshot_state()["state_hash"]
+        finally:
+            await service.stop()
+    _run(scenario())
