@@ -7,26 +7,16 @@ full reproduction alongside the wall-clock numbers.
 """
 
 
-def backend_stamp(side=None):
-    """Provenance block for BENCH_* payloads: active matrix backend,
-    native kernel impl, and the packed-plane word width for ``side``.
+def backend_stamp():
+    """Provenance block for BENCH_* payloads: the active matrix backend.
 
-    Values are strings on purpose — the trend gate only tracks numeric
-    top-level keys, and provenance is context, not a metric.
+    The value is a string on purpose — the trend gate only tracks
+    numeric top-level keys, and provenance is context, not a metric.
     """
     import os
 
-    from repro.rag import batch, native
-
-    stamp = {
-        "matrix_backend": os.environ.get("REPRO_MATRIX_BACKEND",
-                                         "bitmask"),
-        "native_impl": native.impl_name() or "none",
-        "numpy": "yes" if batch.HAS_NUMPY else "no",
-    }
-    if side is not None:
-        stamp["plane_words"] = str(batch.plane_words(side))
-    return stamp
+    return {"matrix_backend": os.environ.get("REPRO_MATRIX_BACKEND",
+                                             "bitmask")}
 
 
 def bench_once(benchmark, fn, *args, **kwargs):

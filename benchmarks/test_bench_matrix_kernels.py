@@ -68,7 +68,7 @@ def test_bench_reduction_speedup_at_least_50x(benchmark):
         "reference_seconds": reference_s,
         "speedup": speedup,
         "min_speedup": MIN_SPEEDUP,
-        **backend_stamp(SIZE),
+        **backend_stamp(),
     }
     RECORD_PATH.write_text(json.dumps(record, indent=2) + "\n")
     benchmark.extra_info["matrix_kernels"] = record

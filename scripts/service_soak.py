@@ -289,9 +289,6 @@ async def soak(args: argparse.Namespace, port: int,
             "dirty_tenants_reduced": dirty,
             "clean_detects_skipped": skipped,
             "dirty_fraction": (dirty / considered) if considered else None,
-            "plane_repacks": tally("repacks"),
-            "plane_grows": tally("plane_grows"),
-            "unpacked_fallbacks": tally("unpacked_fallbacks"),
             "p99_grant_us": stats["grant_latency"].get("p99_us"),
             "p99_verdict_us": stats["verdict_latency"].get("p99_us"),
             "errors": errors,
@@ -344,8 +341,8 @@ def main() -> int:
     print(f"soak OK: {report['tenants']} tenants, "
           f"{report['requests']:g} requests, shard "
           f"{report['shard_killed']} SIGKILLed and absorbed; "
-          f"{dirtiness} across {report['plane_repacks']} plane "
-          f"repack(s){chaos_note}")
+          f"{dirtiness} across {report['detect_batches']:g} "
+          f"reduction tick(s){chaos_note}")
     return 0
 
 

@@ -33,11 +33,7 @@ from repro.deadlock.pdda import pdda_detect
 from repro.deadlock.recovery import apply_plan, plan_recovery
 from repro.errors import AllocationError, ConfigurationError
 from repro.framework.builder import build_system
-from repro.rag.bitmatrix import (
-    FAST_BACKEND,
-    NATIVE_BACKEND,
-    REFERENCE_BACKEND,
-)
+from repro.rag.bitmatrix import FAST_BACKEND, REFERENCE_BACKEND
 from repro.rag.generate import (
     chain_state,
     cycle_state,
@@ -221,37 +217,28 @@ def _check_ddu(rag, params: Mapping[str, Any],
 @checker("pdda-backends-agree")
 def _check_backends(rag, params: Mapping[str, Any],
                     rng: random.Random) -> CheckOutcome:
-    """Every backend is bit-identical to the reference matrix.
+    """The bitmask backend is bit-identical to the reference matrix.
 
-    Runs PDDA once per backend — bitmask, native (which degrades to
-    bitmask when no compiled kernel loads, so it always answers), and
-    the cell-object reference — and demands the same verdict,
+    Runs PDDA on the frontier-sweep :class:`repro.rag.bitmatrix.BitMatrix`
+    and on the cell-object reference, and demands the same verdict,
     iteration/pass counts, modelled cycles and residual edges.  This is
-    the campaign-side differential oracle for
-    :class:`repro.rag.bitmatrix.BitMatrix` and
-    :class:`repro.rag.bitmatrix.NativeBitMatrix`.
+    the campaign-side differential oracle for the one fast kernel.
     """
     reference = pdda_detect(rag, backend=REFERENCE_BACKEND)
+    got = pdda_detect(rag, backend=FAST_BACKEND)
     ref_counts = (reference.deadlock, reference.iterations,
                   reference.passes, reference.software_cycles)
-    fast = None
-    for backend in (FAST_BACKEND, NATIVE_BACKEND):
-        got = pdda_detect(rag, backend=backend)
-        counts = (got.deadlock, got.iterations, got.passes,
-                  got.software_cycles)
-        if counts != ref_counts:
-            return _failed(
-                f"{backend} {counts} != reference {ref_counts}",
-                steps=got.iterations, cycles=got.software_cycles)
-        if got.residual != reference.residual:
-            return _failed(
-                f"residual matrices differ: {backend} vs reference",
-                steps=got.iterations, cycles=got.software_cycles)
-        if fast is None:
-            fast = got
-    return _passed(steps=fast.iterations, cycles=fast.software_cycles,
-                   detail=f"deadlock={fast.deadlock} "
-                          f"passes={fast.passes}")
+    counts = (got.deadlock, got.iterations, got.passes,
+              got.software_cycles)
+    if counts != ref_counts:
+        return _failed(f"{FAST_BACKEND} {counts} != reference {ref_counts}",
+                       steps=got.iterations, cycles=got.software_cycles)
+    if got.residual != reference.residual:
+        return _failed(
+            f"residual matrices differ: {FAST_BACKEND} vs reference",
+            steps=got.iterations, cycles=got.software_cycles)
+    return _passed(steps=got.iterations, cycles=got.software_cycles,
+                   detail=f"deadlock={got.deadlock} passes={got.passes}")
 
 
 @checker("dau-invariants")

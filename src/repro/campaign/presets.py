@@ -133,9 +133,8 @@ def _kernels_large() -> CampaignSpec:
                              "grant_fraction": [0.5, 0.8],
                              "request_fraction": 0.4},
                      repeats=2),
-        # Multi-word widths (> one uint64 word per side): the checker
-        # holds bitmask AND native bit-identical to the reference past
-        # the old 64-wide packing limit.
+        # Sides past one machine word: the checker holds the bitmask
+        # kernel bit-identical to the reference on wide matrices.
         ScenarioSpec(name="backends-multiword", generator="rag.random",
                      checker="pdda-backends-agree",
                      params={"m": [65, 100, 128], "n": [65, 128],
@@ -242,9 +241,8 @@ def _service() -> CampaignSpec:
                      checker="service.vs-local",
                      params={"tenants": 6, "m": [16, 32], "n": 16,
                              "events": 20}),
-        # 128x128 tenants ride the multi-word packed plane end-to-end;
-        # the oracle replay catches any divergence from the solo
-        # kernel at full width.
+        # 128x128 tenants end-to-end: the oracle replay catches any
+        # divergence from the solo kernel at full width.
         ScenarioSpec(name="wide-multiword", generator="service.population",
                      checker="service.vs-local",
                      params={"tenants": 3, "m": 128, "n": 128,

@@ -24,26 +24,15 @@ from repro.rag.bitmatrix import (
     BACKEND_ENV_VAR,
     BACKENDS,
     FAST_BACKEND,
-    NATIVE_BACKEND,
     REFERENCE_BACKEND,
     BitMatrix,
-    NativeBitMatrix,
     as_backend_matrix,
     default_backend,
     matrix_class,
     matrix_from_rag,
     resolve_backend,
 )
-from repro.rag.batch import (
-    HAS_NUMPY,
-    PLANE_WORD_BITS,
-    BatchPlane,
-    PlaneAccumulator,
-    PythonBatchPlane,
-    batch_plane,
-    batched_reduce,
-    plane_words,
-)
+from repro.rag.batch import batched_reduce
 from repro.rag.classic import (
     BankersAvoider,
     graph_reduction_detect,
@@ -78,21 +67,12 @@ __all__ = [
     "BACKENDS",
     "BACKEND_ENV_VAR",
     "FAST_BACKEND",
-    "NATIVE_BACKEND",
     "REFERENCE_BACKEND",
-    "NativeBitMatrix",
     "as_backend_matrix",
     "default_backend",
     "matrix_class",
     "matrix_from_rag",
     "resolve_backend",
-    "HAS_NUMPY",
-    "PLANE_WORD_BITS",
-    "plane_words",
-    "BatchPlane",
-    "PlaneAccumulator",
-    "PythonBatchPlane",
-    "batch_plane",
     "batched_reduce",
     "holt_detect",
     "graph_reduction_detect",

@@ -1,534 +1,33 @@
-"""Batched terminal reduction: many tenant matrices per vector op.
+"""Batched terminal reduction: one verdict per tenant matrix.
 
-:class:`~repro.rag.bitmatrix.BitMatrix` collapses one Algorithm-1 pass
-to O(m + n) Python-int mask tests.  A multi-tenant service (see
-:mod:`repro.service`) holds *thousands* of small matrices and wants one
-verdict per tenant per tick — running the per-tenant kernel N times
-re-pays the interpreter dispatch cost N times per pass.
-
-:class:`BatchPlane` packs N tenant matrices into four shared NumPy
-``uint64`` planes — ``row_r[N, M, Wn]`` / ``row_g[N, M, Wn]`` hold each
-tenant's per-row request/grant words, ``col_r[N, T, Wm]`` /
-``col_g[N, T, Wm]`` the column transposes — so a single sweep of
-vectorized mask ops runs one Algorithm-1 pass for *every* tenant at
-once:
-
-* terminal flags (Equation 4)   — ``(plane == 0).all() ^
-  (other == 0).all()`` across each row's word span, elementwise over
-  the whole batch;
-* clearing terminal rows/cols (Definition 12) — zero the flagged word
-  spans and mask the flagged bits out of the transposes with one
-  ``&= ~mask`` broadcast per plane.
-
-Each side packs into ``ceil(side / 64)`` words (``Wn`` words per row,
-``Wm`` per column), so there is **no upper limit** on tenant width —
-128x128 and larger instances ride the same vectorized kernel as 8x8
-ones, just with a wider word span.  ``Wn``/``Wm`` are 1 for the dense
-small-tenant regime, so the extra axis costs nothing there.
-
-Tenants converge at different pass counts, so per-tenant ``iterations``
-/ ``passes`` counters advance under an ``active`` mask with exactly the
-semantics of :meth:`BitMatrix.reduce`: both terminal on-sets are taken
-against the same pre-clear snapshot, and the final no-terminal pass is
-counted.  ``tests/test_batch_differential.py`` holds the batched plane
-bit-identical to the per-tenant kernel over randomized ensembles,
-including 65x65 / 100x100 / 128x128 multi-word cases.
-
-Tenant matrices may have *different* shapes: every tenant is packed
-into the ensemble's (max m, max n) envelope, and the padding is inert —
-an all-empty row or column has both planes zero, so its terminal flag
-(an XOR) is never raised and no pass ever touches it.
-
-When NumPy is unavailable the same API is served by
-:class:`PythonBatchPlane`, which simply runs the per-tenant kernel in a
-loop — slower, but bit-identical by construction; :func:`batch_plane`
-signals that degradation through the ``matrix.batch.unpacked_fallbacks``
-counter and a flight-recorder event when given an observability hub.
-
-:class:`PlaneAccumulator` is the *persistent* variant the service tick
-path uses: tenants are packed once into long-lived planes, each
-accepted mutation refreshes just the touched row/column word spans in
-place, and each tick reduces only the dirty tenants on a scratch copy —
-see :mod:`repro.service.shard`.
+A multi-tenant service (see :mod:`repro.service`) wants one verdict per
+dirty tenant per tick.  :func:`batched_reduce` is that loop: copy each
+matrix, run :meth:`BitMatrix.reduce` on the copy, and read the verdict
+off the residual.  The kernel already clears whole rows and columns at
+once, and a shard's tick rarely holds more than one dirty tenant, so
+packing tenants side by side into shared planes has nothing to win.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.errors import ConfigurationError
-from repro.rag.bitmatrix import AnyStateMatrix, BitMatrix
-from repro.rag.graph import RAG
+from repro.rag.bitmatrix import FAST_BACKEND, AnyStateMatrix, BitMatrix, \
+    as_backend_matrix
 
-try:  # NumPy is optional: the service degrades to the Python plane.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    _np = None
 
-#: True when the vectorized NumPy plane is available in this process.
-HAS_NUMPY = _np is not None
-
-#: Bits per plane word; a side of ``n`` packs into ``ceil(n / 64)`` words.
-PLANE_WORD_BITS = 64
-
-_WORD_MASK = (1 << PLANE_WORD_BITS) - 1
-
-
-def plane_words(side: int) -> int:
-    """uint64 words needed to pack a ``side``-bit row/column (>= 1)."""
-    return max(1, (side + PLANE_WORD_BITS - 1) // PLANE_WORD_BITS)
-
-
-def _dims(source) -> tuple[int, int]:
-    if isinstance(source, RAG):
-        return source.num_resources, source.num_processes
-    return source.m, source.n
-
-
-def _as_bitmatrix(source) -> BitMatrix:
-    if isinstance(source, BitMatrix):
-        return source
-    if isinstance(source, RAG):
-        return BitMatrix.from_rag(source)
-    return BitMatrix.from_matrix(source)
-
-
-# -- word marshalling ---------------------------------------------------
-
-def _write_words(plane, index: int, value: int, words: int) -> None:
-    """Spread one Python-int bit vector over ``words`` uint64 words."""
-    for j in range(words):
-        plane[index, j] = value & _WORD_MASK
-        value >>= PLANE_WORD_BITS
-
-
-def _read_words(span) -> int:
-    """Recombine a word span back into one Python-int bit vector."""
-    value = 0
-    for j in range(span.shape[0] - 1, -1, -1):
-        value = (value << PLANE_WORD_BITS) | int(span[j])
-    return value
-
-
-def _pack_vectors(plane_r, plane_g, index: int, values_r, values_g,
-                  count: int, words: int) -> None:
-    """Pack per-row (or per-column) int vectors into slot ``index``.
-
-    Bulk list-to-array assignment per word column: one NumPy conversion
-    per word instead of one scalar store per row.
-    """
-    if words == 1:
-        plane_r[index, :count, 0] = values_r
-        plane_g[index, :count, 0] = values_g
-        return
-    for j in range(words):
-        shift = j * PLANE_WORD_BITS
-        plane_r[index, :count, j] = [(v >> shift) & _WORD_MASK
-                                     for v in values_r]
-        plane_g[index, :count, j] = [(v >> shift) & _WORD_MASK
-                                     for v in values_g]
-
-
-def _bit_table(count: int, words: int):
-    """(count, words) table: row ``i`` holds only bit ``i`` of its word."""
-    table = _np.zeros((count, words), dtype=_np.uint64)
-    for i in range(count):
-        table[i, i >> 6] = 1 << (i & 63)
-    return table
-
-
-def _reduce_plane_arrays(row_r, row_g, col_r, col_g, row_bits, col_bits):
-    """The vectorized Algorithm-1 sweep over packed word planes.
-
-    Mutates the four planes in place; returns per-tenant
-    ``(iterations, passes)`` int64 arrays with the exact semantics of
-    :meth:`BitMatrix.reduce`: terminal on-sets are computed against the
-    pre-clear snapshot each pass, and the final no-terminal pass is
-    counted.
-    """
-    np = _np
-    count = row_r.shape[0]
-    iterations = np.zeros(count, dtype=np.int64)
-    passes = np.zeros(count, dtype=np.int64)
-    active = np.ones(count, dtype=bool)
-    while True:
-        # Equation 4 for every row/column of every tenant at once; an
-        # all-empty (padding) row has both word spans zero and XORs to
-        # False, so it never reads as terminal.
-        term_rows = (row_r == 0).all(axis=2) ^ (row_g == 0).all(axis=2)
-        term_cols = (col_r == 0).all(axis=2) ^ (col_g == 0).all(axis=2)
-        any_term = term_rows.any(axis=1) | term_cols.any(axis=1)
-        passes += active
-        iterations += active & any_term
-        active &= any_term
-        if not active.any():
-            break
-        # Definition 12, batch-wide: zero every terminal row/column
-        # word span and strip its bit from the transposed plane.  A
-        # cell in both a terminal row and a terminal column is cleared
-        # by either path — same outcome as the sequential kernel.
-        row_clear = np.bitwise_or.reduce(
-            np.where(term_rows[:, :, None], row_bits[None, :, :],
-                     np.uint64(0)), axis=1)
-        col_clear = np.bitwise_or.reduce(
-            np.where(term_cols[:, :, None], col_bits[None, :, :],
-                     np.uint64(0)), axis=1)
-        row_r[term_rows] = 0
-        row_g[term_rows] = 0
-        row_r &= ~col_clear[:, None, :]
-        row_g &= ~col_clear[:, None, :]
-        col_r[term_cols] = 0
-        col_g[term_cols] = 0
-        col_r &= ~row_clear[:, None, :]
-        col_g &= ~row_clear[:, None, :]
-    return iterations, passes
-
-
-class PythonBatchPlane:
-    """The batched API served by the per-tenant kernel in a loop.
-
-    The fallback for NumPy-less processes; bit-identical to
-    :class:`BatchPlane` by construction (it *is* the per-tenant
-    kernel), with no width limit either.
-    """
-
-    vectorized = False
-
-    def __init__(self, matrices: Sequence[AnyStateMatrix]) -> None:
-        if not matrices:
-            raise ConfigurationError("batch plane needs at least 1 tenant")
-        self._matrices = [_as_bitmatrix(m).copy() for m in matrices]
-
-    @property
-    def count(self) -> int:
-        return len(self._matrices)
-
-    def reduce_all(self) -> list[tuple[int, int]]:
-        """Per-tenant ``(iterations, passes)``, semantics of
-        :meth:`BitMatrix.reduce`."""
-        return [matrix.reduce() for matrix in self._matrices]
-
-    def residual(self, index: int) -> BitMatrix:
-        return self._matrices[index].copy()
-
-    def residuals(self) -> list[BitMatrix]:
-        return [matrix.copy() for matrix in self._matrices]
-
-    def deadlocked(self) -> list[bool]:
-        """Per-tenant verdict: surviving edges mean deadlock."""
-        return [not matrix.is_empty() for matrix in self._matrices]
-
-
-class BatchPlane:
-    """N tenant matrices packed into shared multi-word uint64 planes."""
-
-    vectorized = True
-
-    def __init__(self, matrices: Sequence[AnyStateMatrix]) -> None:
-        if _np is None:
-            raise ConfigurationError(
-                "BatchPlane needs numpy; use PythonBatchPlane "
-                "(or batch_plane(), which picks automatically)")
-        if not matrices:
-            raise ConfigurationError("batch plane needs at least 1 tenant")
-        sources = [_as_bitmatrix(m) for m in matrices]
-        self._sources = sources
-        count = len(sources)
-        self._m = max(matrix.m for matrix in sources)
-        self._n = max(matrix.n for matrix in sources)
-        self._wn = plane_words(self._n)
-        self._wm = plane_words(self._m)
-        shape_rows = (count, self._m, self._wn)
-        shape_cols = (count, self._n, self._wm)
-        self._row_r = _np.zeros(shape_rows, dtype=_np.uint64)
-        self._row_g = _np.zeros(shape_rows, dtype=_np.uint64)
-        self._col_r = _np.zeros(shape_cols, dtype=_np.uint64)
-        self._col_g = _np.zeros(shape_cols, dtype=_np.uint64)
-        for i, matrix in enumerate(sources):
-            _pack_vectors(self._row_r, self._row_g, i,
-                          matrix._row_r, matrix._row_g, matrix.m,
-                          self._wn)
-            _pack_vectors(self._col_r, self._col_g, i,
-                          matrix._col_r, matrix._col_g, matrix.n,
-                          self._wm)
-        self._row_bits = _bit_table(self._m, self._wm)
-        self._col_bits = _bit_table(self._n, self._wn)
-
-    @property
-    def count(self) -> int:
-        return len(self._sources)
-
-    @property
-    def words_per_row(self) -> int:
-        """uint64 words spanning one packed row (``ceil(n_max / 64)``)."""
-        return self._wn
-
-    @property
-    def words_per_column(self) -> int:
-        """uint64 words spanning one packed column (``ceil(m_max / 64)``)."""
-        return self._wm
-
-    def reduce_all(self) -> list[tuple[int, int]]:
-        """One vectorized Algorithm-1 sweep over every tenant."""
-        iterations, passes = _reduce_plane_arrays(
-            self._row_r, self._row_g, self._col_r, self._col_g,
-            self._row_bits, self._col_bits)
-        return [(int(iterations[i]), int(passes[i]))
-                for i in range(self.count)]
-
-    def residual(self, index: int) -> BitMatrix:
-        """Tenant ``index``'s current plane as a standalone BitMatrix."""
-        source = self._sources[index]
-        matrix = BitMatrix(source.m, source.n,
-                           resource_names=source.resource_names,
-                           process_names=source.process_names)
-        edges = 0
-        for s in range(source.m):
-            r_word = _read_words(self._row_r[index, s])
-            g_word = _read_words(self._row_g[index, s])
-            matrix._row_r[s] = r_word
-            matrix._row_g[s] = g_word
-            edges += r_word.bit_count() + g_word.bit_count()
-        for t in range(source.n):
-            matrix._col_r[t] = _read_words(self._col_r[index, t])
-            matrix._col_g[t] = _read_words(self._col_g[index, t])
-        matrix._edges = edges
-        return matrix
-
-    def residuals(self) -> list[BitMatrix]:
-        return [self.residual(i) for i in range(self.count)]
-
-    def deadlocked(self) -> list[bool]:
-        """Per-tenant verdict: surviving edges mean deadlock."""
-        survived = ((self._row_r | self._row_g) != 0).any(axis=(1, 2))
-        return [bool(survived[i]) for i in range(self.count)]
-
-
-class PlaneReduction:
-    """One :meth:`PlaneAccumulator.reduce` result over scratch planes.
-
-    Positions index the ``slots`` sequence the reduction was asked for,
-    not accumulator slots.
-    """
-
-    __slots__ = ("_row_r", "_row_g", "_col_r", "_col_g",
-                 "_iterations", "_passes")
-
-    def __init__(self, row_r, row_g, col_r, col_g,
-                 iterations, passes) -> None:
-        self._row_r = row_r
-        self._row_g = row_g
-        self._col_r = col_r
-        self._col_g = col_g
-        self._iterations = iterations
-        self._passes = passes
-
-    @property
-    def count(self) -> int:
-        return self._row_r.shape[0]
-
-    def counts(self, position: int) -> tuple[int, int]:
-        return (int(self._iterations[position]),
-                int(self._passes[position]))
-
-    def deadlocked(self, position: int) -> bool:
-        span = self._row_r[position] | self._row_g[position]
-        return bool((span != 0).any())
-
-    def residual(self, position: int, like: BitMatrix) -> BitMatrix:
-        """The reduced plane as a BitMatrix shaped/named after ``like``."""
-        matrix = BitMatrix(like.m, like.n,
-                           resource_names=like.resource_names,
-                           process_names=like.process_names)
-        edges = 0
-        for s in range(like.m):
-            r_word = _read_words(self._row_r[position, s])
-            g_word = _read_words(self._row_g[position, s])
-            matrix._row_r[s] = r_word
-            matrix._row_g[s] = g_word
-            edges += r_word.bit_count() + g_word.bit_count()
-        for t in range(like.n):
-            matrix._col_r[t] = _read_words(self._col_r[position, t])
-            matrix._col_g[t] = _read_words(self._col_g[position, t])
-        matrix._edges = edges
-        return matrix
-
-
-class PlaneAccumulator:
-    """Long-lived packed planes with in-place row/column refresh.
-
-    The per-plane :class:`BatchPlane` repacks every tenant on every
-    construction; a service shard instead packs each tenant **once**
-    into a slot here, refreshes just the mutated row/column word spans
-    after each accepted operation (:meth:`update`), and reduces only
-    the tenants whose verdict cache went stale (:meth:`reduce`) — the
-    reduction copies the requested slots to scratch, so the persistent
-    planes are never consumed.
-
-    Slot geometry grows on demand (capacity doubling, envelope
-    widening); ``repacks`` counts full tenant packs and ``grows``
-    counts geometry reallocations, both surfaced as
-    ``matrix.batch.*`` observability counters by the shard.
-    """
-
-    def __init__(self) -> None:
-        if _np is None:
-            raise ConfigurationError(
-                "PlaneAccumulator needs numpy; use batch_plane() per "
-                "tick instead")
-        self._capacity = 0
-        self._m = 0
-        self._n = 0
-        self._wn = 1
-        self._wm = 1
-        self._row_r = None
-        self._row_g = None
-        self._col_r = None
-        self._col_g = None
-        self._row_bits = None
-        self._col_bits = None
-        self._free: list[int] = []
-        self._used = 0
-        #: Full tenant packs (initial adds and re-adds after restore).
-        self.repacks = 0
-        #: Geometry reallocations (capacity or envelope growth).
-        self.grows = 0
-
-    @property
-    def slots_in_use(self) -> int:
-        return self._used - len(self._free)
-
-    @property
-    def words_per_row(self) -> int:
-        return self._wn
-
-    @property
-    def words_per_column(self) -> int:
-        return self._wm
-
-    # -- geometry ------------------------------------------------------
-
-    def _ensure_geometry(self, m: int, n: int, slots: int) -> None:
-        new_m = max(self._m, m)
-        new_n = max(self._n, n)
-        new_cap = max(self._capacity, 4)
-        while new_cap < slots:
-            new_cap *= 2
-        if (new_m, new_n, new_cap) == (self._m, self._n, self._capacity):
-            return
-        wn = plane_words(new_n)
-        wm = plane_words(new_m)
-
-        def regrow(old, shape):
-            fresh = _np.zeros(shape, dtype=_np.uint64)
-            if old is not None:
-                fresh[:old.shape[0], :old.shape[1], :old.shape[2]] = old
-            return fresh
-
-        if self._row_r is not None:
-            self.grows += 1
-        self._row_r = regrow(self._row_r, (new_cap, new_m, wn))
-        self._row_g = regrow(self._row_g, (new_cap, new_m, wn))
-        self._col_r = regrow(self._col_r, (new_cap, new_n, wm))
-        self._col_g = regrow(self._col_g, (new_cap, new_n, wm))
-        self._capacity = new_cap
-        self._m, self._n = new_m, new_n
-        self._wn, self._wm = wn, wm
-        self._row_bits = _bit_table(new_m, wm)
-        self._col_bits = _bit_table(new_n, wn)
-
-    # -- slot lifecycle ------------------------------------------------
-
-    def add(self, matrix: BitMatrix) -> int:
-        """Pack one tenant into a fresh (or recycled, zeroed) slot."""
-        need = self._used + (0 if self._free else 1)
-        self._ensure_geometry(matrix.m, matrix.n, need)
-        if self._free:
-            slot = self._free.pop()
-        else:
-            slot = self._used
-            self._used += 1
-        _pack_vectors(self._row_r, self._row_g, slot,
-                      matrix._row_r, matrix._row_g, matrix.m, self._wn)
-        _pack_vectors(self._col_r, self._col_g, slot,
-                      matrix._col_r, matrix._col_g, matrix.n, self._wm)
-        self.repacks += 1
-        return slot
-
-    def update(self, slot: int, matrix: BitMatrix, s: int, t: int) -> None:
-        """Refresh the word spans a mutation at cell ``(s, t)`` touched.
-
-        One claim/release changes row ``s`` and column ``t`` only, so
-        only those four spans are rewritten — no full repack.
-        """
-        _write_words(self._row_r[slot], s, matrix._row_r[s], self._wn)
-        _write_words(self._row_g[slot], s, matrix._row_g[s], self._wn)
-        _write_words(self._col_r[slot], t, matrix._col_r[t], self._wm)
-        _write_words(self._col_g[slot], t, matrix._col_g[t], self._wm)
-
-    def remove(self, slot: int) -> None:
-        """Zero and recycle one slot (tenant detached or replaced)."""
-        self._row_r[slot] = 0
-        self._row_g[slot] = 0
-        self._col_r[slot] = 0
-        self._col_g[slot] = 0
-        self._free.append(slot)
-
-    # -- reduction -----------------------------------------------------
-
-    def reduce(self, slots: Sequence[int]) -> PlaneReduction:
-        """Reduce the given slots on a scratch copy of their planes."""
-        if not len(slots):
-            raise ConfigurationError("accumulator reduce needs >= 1 slot")
-        index = _np.asarray(list(slots), dtype=_np.intp)
-        row_r = self._row_r[index]
-        row_g = self._row_g[index]
-        col_r = self._col_r[index]
-        col_g = self._col_g[index]
-        iterations, passes = _reduce_plane_arrays(
-            row_r, row_g, col_r, col_g, self._row_bits, self._col_bits)
-        return PlaneReduction(row_r, row_g, col_r, col_g,
-                              iterations, passes)
-
-
-def batch_plane(matrices: Sequence[AnyStateMatrix],
-                vectorized: Optional[bool] = None, obs=None):
-    """The right plane for an ensemble: vectorized when it can be.
-
-    ``vectorized=None`` (the default) picks :class:`BatchPlane`
-    whenever NumPy is importable — there is no width limit anymore —
-    else :class:`PythonBatchPlane`.  That silent degradation is now
-    observable: pass an :class:`~repro.obs.Observability` hub as
-    ``obs`` and every automatic fallback increments the
-    ``matrix.batch.unpacked_fallbacks`` counter and records a
-    ``batch_unpacked_fallback`` flight event.  Forcing
-    ``vectorized=True`` without NumPy raises
-    :class:`~repro.errors.ConfigurationError`; forcing
-    ``vectorized=False`` is a deliberate choice and emits no signal.
-    """
-    if vectorized is None:
-        vectorized = HAS_NUMPY and bool(matrices)
-        if not vectorized and matrices and obs is not None:
-            obs.metrics.counter(
-                "matrix.batch.unpacked_fallbacks",
-                "ensembles served by the sequential per-tenant kernel",
-            ).inc()
-            if obs.flight.enabled:
-                obs.flight.record("batch_unpacked_fallback",
-                                  actor="batch", tenants=len(matrices))
-    return BatchPlane(matrices) if vectorized \
-        else PythonBatchPlane(matrices)
-
-
-def batched_reduce(matrices: Sequence[AnyStateMatrix],
-                   vectorized: Optional[bool] = None
+def batched_reduce(matrices: Sequence[AnyStateMatrix]
                    ) -> list[tuple[bool, int, int, BitMatrix]]:
     """Reduce an ensemble; per-tenant ``(deadlock, iterations, passes,
-    residual)`` — the batch analogue of running
-    :func:`repro.deadlock.pdda.terminal_reduction` per tenant."""
-    plane = batch_plane(matrices, vectorized=vectorized)
-    counts = plane.reduce_all()
-    verdicts = plane.deadlocked()
-    residuals = plane.residuals()
-    return [(verdicts[i], counts[i][0], counts[i][1], residuals[i])
-            for i in range(plane.count)]
+    residual)`` — :func:`repro.deadlock.pdda.terminal_reduction` run
+    per tenant on a private copy, so the sources are never consumed."""
+    if not matrices:
+        raise ConfigurationError("batched_reduce needs at least 1 tenant")
+    results = []
+    for source in matrices:
+        residual = as_backend_matrix(source, FAST_BACKEND)
+        iterations, passes = residual.reduce()
+        results.append((not residual.is_empty(), iterations, passes,
+                        residual))
+    return results

@@ -16,21 +16,21 @@ mask tests:
   patch the transposes of the set bits.
 
 The edge count is maintained incrementally from ``int.bit_count()``
-deltas, so ``is_empty()`` — consulted once per reduction pass — never
-rescans the plane.  A full terminal-reduction pass costs O(m + n)
-instead of O(m*n), which is what lets the campaign presets and scaling
-surveys run 64x64-128x128 matrices.
+deltas, so ``is_empty()`` never rescans the plane.
+:meth:`BitMatrix.reduce` runs Algorithm 1 as a *frontier sweep*: the
+first pass scans every row and column, each later pass only the rows
+and columns a clear touched, and each clear zeroes the terminal words
+outright and patches the touched transposes with one ``&= ~mask``
+each.  That is what lets the campaign presets, scaling surveys and the
+service run 64x64-128x128 matrices.
 
 :class:`BitMatrix` speaks the full :class:`StateMatrix` protocol
 (constructors, cell access, Equations 3-6, rendering, equality against
 either representation), so every consumer — PDDA, the DDU/DAU models,
 serialization, the experiments — can hold either type.  The *backend
-knob* at the bottom picks which one the hot paths build:
-``"bitmask"`` (the default), ``"reference"``, or ``"native"``; set
-``REPRO_MATRIX_BACKEND=reference`` to force the cell-object oracle
-process-wide, or ``REPRO_MATRIX_BACKEND=native`` to run whole-matrix
-reductions through the compiled kernel in :mod:`repro.rag.native`
-(graceful degradation to the pure-Python sweep when no kernel loads).
+knob* at the bottom picks which one the hot paths build: ``"bitmask"``
+(the default) or ``"reference"``; set ``REPRO_MATRIX_BACKEND=reference``
+to force the cell-object oracle process-wide.
 """
 
 from __future__ import annotations
@@ -48,10 +48,7 @@ from repro.rag.matrix import CellState, StateMatrix, open_matrix_envelope
 FAST_BACKEND = "bitmask"
 #: The per-cell :class:`StateMatrix` oracle.
 REFERENCE_BACKEND = "reference"
-#: The bitmask backend with compiled whole-matrix reductions
-#: (:class:`NativeBitMatrix`; falls back to pure Python per matrix).
-NATIVE_BACKEND = "native"
-BACKENDS = (FAST_BACKEND, REFERENCE_BACKEND, NATIVE_BACKEND)
+BACKENDS = (FAST_BACKEND, REFERENCE_BACKEND)
 #: Environment escape hatch: ``REPRO_MATRIX_BACKEND=reference``.
 BACKEND_ENV_VAR = "REPRO_MATRIX_BACKEND"
 
@@ -73,6 +70,16 @@ _REQUEST_DIGITS = str.maketrans("gr.0", "0100")
 #: Definition 6) — no carry crosses a byte.  0x93 cannot occur (the
 #: planes are disjoint); it reads as ``r``, the precedence of ``get``.
 _CELL_SYMBOLS = bytes.maketrans(b"\x90\x91\x92\x93", b".grr")
+
+
+def _set_bits(mask: int) -> list[int]:
+    """Indices of the set bits of ``mask``, lowest first."""
+    indices = []
+    while mask:
+        low = mask & -mask
+        indices.append(low.bit_length() - 1)
+        mask ^= low
+    return indices
 
 
 class BitMatrix:
@@ -435,24 +442,57 @@ class BitMatrix:
 
         Returns ``(iterations, passes)`` with the exact semantics of
         :func:`repro.deadlock.pdda.terminal_reduction`: both terminal
-        on-sets are computed against the same pre-clear snapshot, every
+        on-sets are computed against the same pre-clear state, every
         flagged row/column is cleared at once, and the final pass that
-        finds no terminal edges is counted.  Each pass costs O(m + n)
-        mask tests plus O(edges cleared) transpose patches.
+        finds no terminal edges is counted.
+
+        Only the first pass scans every row and column.  A row or
+        column no clear touched keeps the (non-terminal) flag it had,
+        so each later pass scans just the rows set in a cleared column
+        and the columns set in a cleared row.  Terminal words are
+        zeroed outright and each touched transpose is patched with one
+        ``&= ~mask``; the edge count is recounted once at the end.
         """
+        row_r, row_g = self._row_r, self._row_g
+        col_r, col_g = self._col_r, self._col_g
+        rows: Iterable[int] = range(self.m)
+        columns: Iterable[int] = range(self.n)
         iterations = 0
         passes = 0
         while True:
             passes += 1
-            term_rows = self.terminal_rows()
-            term_cols = self.terminal_columns()
+            term_rows = [s for s in rows
+                         if (row_r[s] == 0) != (row_g[s] == 0)]
+            term_cols = [t for t in columns
+                         if (col_r[t] == 0) != (col_g[t] == 0)]
             if not term_rows and not term_cols:
                 break
-            for s in term_rows:
-                self.clear_row(s)
-            for t in term_cols:
-                self.clear_column(t)
             iterations += 1
+            # Both on-sets were taken above, so the words read here are
+            # still the pre-clear ones the transposes must be patched by.
+            cleared_rows = touched_cols = 0
+            for s in term_rows:
+                touched_cols |= row_r[s] | row_g[s]
+                row_r[s] = row_g[s] = 0
+                cleared_rows |= 1 << s
+            cleared_cols = touched_rows = 0
+            for t in term_cols:
+                touched_rows |= col_r[t] | col_g[t]
+                col_r[t] = col_g[t] = 0
+                cleared_cols |= 1 << t
+            keep = ~cleared_rows
+            columns = _set_bits(touched_cols)
+            for t in columns:
+                col_r[t] &= keep
+                col_g[t] &= keep
+            keep = ~cleared_cols
+            rows = _set_bits(touched_rows)
+            for s in rows:
+                row_r[s] &= keep
+                row_g[s] &= keep
+        if iterations:
+            self._edges = (sum(map(int.bit_count, row_r))
+                           + sum(map(int.bit_count, row_g)))
         return iterations, passes
 
     # -- comparisons / rendering -----------------------------------------------------
@@ -483,28 +523,6 @@ class BitMatrix:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<BitMatrix {self.m}x{self.n} edges={self._edges}>"
-
-
-class NativeBitMatrix(BitMatrix):
-    """A :class:`BitMatrix` whose Algorithm-1 sweep runs compiled code.
-
-    Selected by ``REPRO_MATRIX_BACKEND=native``.  Everything except
-    :meth:`reduce` is inherited: cell mutation stays on the Python-int
-    planes, and only the whole-matrix reduction — the hot loop PDDA and
-    the DDU model spend their time in — drops into the kernel from
-    :mod:`repro.rag.native` (numba when importable, else a
-    ctypes-loaded C kernel).  When no kernel can be loaded the
-    reduction silently degrades to the inherited pure-Python sweep:
-    same bits, same ``(iterations, passes)``, held identical by
-    ``tests/test_native_backend.py`` and the ``pdda-backends-agree``
-    campaign checker.
-    """
-
-    def reduce(self) -> tuple[int, int]:
-        from repro.rag import native
-        if not native.available():
-            return super().reduce()
-        return native.reduce_matrix(self)
 
 
 #: Either state-matrix representation; both speak the same protocol.
@@ -538,11 +556,7 @@ def resolve_backend(backend: Optional[str] = None) -> str:
 def matrix_class(backend: Optional[str] = None):
     """The matrix type the given backend builds."""
     resolved = resolve_backend(backend)
-    if resolved == FAST_BACKEND:
-        return BitMatrix
-    if resolved == NATIVE_BACKEND:
-        return NativeBitMatrix
-    return StateMatrix
+    return BitMatrix if resolved == FAST_BACKEND else StateMatrix
 
 
 def matrix_from_rag(rag: RAG, backend: Optional[str] = None) -> AnyStateMatrix:

@@ -5,8 +5,8 @@
 backpressure, and coalesces accepted tenant operations into *ticks*:
 every ``tick_interval`` seconds the queue is drained, grouped by shard,
 and shipped as one ``batch`` command per shard, whose detects are
-answered by a single batched :class:`~repro.rag.batch.BatchPlane`
-reduction (see :mod:`repro.service.shard`).
+answered by one reduction per dirty tenant (see
+:mod:`repro.service.shard`).
 
 Shards run either in-process (tests, campaign scenarios) or as
 ``multiprocessing`` worker processes (the deployment the soak
@@ -85,8 +85,6 @@ class ServiceConfig:
     #: ``stop()`` waits this long for dispatched ops to settle before
     #: closing connections (was a hard-coded 2.0s).
     drain_timeout: float = 2.0
-    #: Forwarded to :func:`repro.rag.batch.batch_plane` (None = auto).
-    vectorized: Optional[bool] = None
 
 
 class _ShardLost(ServiceError):
@@ -163,7 +161,7 @@ class ShardHandle:
             parent_conn, child_conn = ctx.Pipe()
             self.process = ctx.Process(
                 target=shard_main,
-                args=(child_conn, self.shard_id, config.vectorized),
+                args=(child_conn, self.shard_id),
                 daemon=True, name=f"repro-service-shard-{self.shard_id}")
             self.process.start()
             child_conn.close()
@@ -171,9 +169,7 @@ class ShardHandle:
             asyncio.get_running_loop().add_reader(
                 self.conn.fileno(), self._on_readable)
         else:
-            self.core = ShardCore(self.shard_id,
-                                  vectorized=config.vectorized,
-                                  obs=self.service.obs)
+            self.core = ShardCore(self.shard_id, obs=self.service.obs)
 
     def tenant_count(self) -> int:
         return sum(1 for record in self.service.tenants.values()
@@ -945,7 +941,7 @@ class DetectionService:
                              "tenants": handle.tenant_count()}
                     if handle.alive:
                         # Surface the shard core's reduction tallies
-                        # (repacks, dirty/skipped detects) so soaks can
+                        # (dirty/skipped detects) so soaks can
                         # verify the incremental tick path end-to-end.
                         try:
                             kind, reply = await handle.request("ping",
@@ -957,9 +953,7 @@ class DetectionService:
                                 key: reply[key] for key in (
                                     "ops", "deduped", "batches",
                                     "detect_batches", "dirty_tenants",
-                                    "skipped_detects", "repacks",
-                                    "plane_grows",
-                                    "unpacked_fallbacks")
+                                    "skipped_detects")
                                 if key in reply})
                     entries.append(entry)
                 return ok_response(message, shards=entries)

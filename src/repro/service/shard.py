@@ -5,32 +5,23 @@ tiny command protocol — ``batch`` / ``snapshot`` / ``restore`` /
 ``drop`` / ``ping`` / ``stop``.  The front end groups each tick's
 operations by shard and ships one ``batch`` per shard; the core applies
 mutations *in arrival order* and then answers every ``detect`` in the
-batch — the batched-kernel win the service exists for.  A verdict
-reflects every mutation accepted earlier in the same tick
-(*tick-consistent detection*); it carries the tenant's ``op_seq`` so
-callers know exactly which prefix it covers.
+batch.  A verdict reflects every mutation accepted earlier in the same
+tick (*tick-consistent detection*); it carries the tenant's ``op_seq``
+so callers know exactly which prefix it covers.
 
-Detection is **incremental** rather than repack-everything:
+Detection is **incremental**:
 
-* each tenant is packed *once* into a persistent
-  :class:`~repro.rag.batch.PlaneAccumulator` slot (on its first
-  detect), and every accepted claim/release afterwards refreshes just
-  the touched row/column word spans in place
-  (``Tenant.touched`` → :meth:`PlaneAccumulator.update`);
 * verdicts are cached per tenant keyed on object identity and
   ``op_seq`` — a detect for a tenant that has not mutated since its
-  last verdict is answered from the cache without touching the plane
-  at all;
+  last verdict is answered from the cache without a reduction;
 * only *dirty* tenants (mutated, or never reduced) enter each tick's
-  reduction, which runs on a scratch copy of their slots.
+  reduction: :func:`~repro.rag.batch.batched_reduce`, a loop of copy
+  and :meth:`~repro.rag.bitmatrix.BitMatrix.reduce` per tenant.
 
-The ``matrix.batch.repacks`` / ``matrix.batch.dirty_tenants`` /
-``matrix.batch.skipped`` observability counters (plus per-shard tallies
-in the ``ping`` reply) attribute the win; the profiler annotates them
-via its ``matrix.batch.`` prefix.  Without NumPy the shard degrades to
-a per-tick :class:`~repro.rag.batch.PythonBatchPlane` over the dirty
-tenants — the same caching still applies, and the degradation is
-signalled through ``matrix.batch.unpacked_fallbacks``.
+The ``matrix.batch.dirty_tenants`` / ``matrix.batch.skipped``
+observability counters (plus per-shard tallies in the ``ping`` reply)
+attribute the win; the profiler annotates them via its
+``matrix.batch.`` prefix.
 
 :func:`shard_main` wraps the core behind a
 :class:`multiprocessing.connection.Connection` for process-backed
@@ -40,11 +31,11 @@ cores in-process for tests and campaign scenarios.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any
 
 from repro.errors import ReproError
 from repro.obs import NULL_OBS
-from repro.rag.batch import HAS_NUMPY, PlaneAccumulator, batch_plane
+from repro.rag.batch import batched_reduce
 from repro.rag.bitmatrix import BitMatrix
 from repro.service.protocol import ServiceOpError, error_response, ok_response
 from repro.service.tenant import Tenant
@@ -78,10 +69,8 @@ class _CachedVerdict:
 class ShardCore:
     """The shard state machine, transport-agnostic and synchronous."""
 
-    def __init__(self, shard_id: int,
-                 vectorized: Optional[bool] = None, obs=None) -> None:
+    def __init__(self, shard_id: int, obs=None) -> None:
         self.shard_id = shard_id
-        self.vectorized = vectorized
         self.obs = obs if obs is not None else NULL_OBS
         self.tenants: dict[str, Tenant] = {}
         self.ops_applied = 0
@@ -95,17 +84,8 @@ class ShardCore:
         self.dirty_reduced = 0
         #: Detect queries answered from the cached verdict.
         self.detects_skipped = 0
-        #: Ensembles served sequentially because NumPy is absent.
-        self.unpacked_fallbacks = 0
-        # Persistent plane: only when the vectorized path is usable.
-        self._plane = (PlaneAccumulator()
-                       if HAS_NUMPY and vectorized is not False else None)
-        self._slots: dict[str, int] = {}
         self._verdicts: dict[str, _CachedVerdict] = {}
         metrics = self.obs.metrics
-        self._c_repacks = metrics.counter(
-            "matrix.batch.repacks",
-            "full tenant packs into a persistent batch plane")
         self._c_dirty = metrics.counter(
             "matrix.batch.dirty_tenants",
             "tenants re-reduced because their RAG mutated")
@@ -126,7 +106,7 @@ class ShardCore:
                 return "ok", self.restore_tenant(payload)
             if command == "drop":
                 if self.tenants.pop(payload, None) is not None:
-                    self._forget(payload)
+                    self._verdicts.pop(payload, None)
                 return "ok", {"tenants": len(self.tenants)}
             if command == "ping":
                 return "ok", {
@@ -138,11 +118,6 @@ class ShardCore:
                     "detect_batches": self.detect_batches,
                     "dirty_tenants": self.dirty_reduced,
                     "skipped_detects": self.detects_skipped,
-                    "repacks": (self._plane.repacks
-                                if self._plane is not None else 0),
-                    "plane_grows": (self._plane.grows
-                                    if self._plane is not None else 0),
-                    "unpacked_fallbacks": self.unpacked_fallbacks,
                 }
             raise ReproError(f"unknown shard command {command!r}")
         except ReproError as exc:
@@ -171,14 +146,13 @@ class ShardCore:
                     responses[index] = ok_response(op, **result)
                     if result.get("deduped"):
                         # Idempotent replay: answered from the dedup
-                        # window, nothing mutated, nothing to sync.
+                        # window, nothing mutated.
                         self.deduped += 1
                     else:
                         self.ops_applied += 1
-                        self._sync_touched(tenant)
                 elif name == "detach":
                     self.tenants.pop(tenant.tenant_id)
-                    self._forget(tenant.tenant_id)
+                    self._verdicts.pop(tenant.tenant_id, None)
                     responses[index] = ok_response(op, detached=True)
                 else:
                     raise ServiceOpError("bad-request",
@@ -189,35 +163,6 @@ class ShardCore:
         if detect_slots:
             self._run_detects(ops, responses, detect_slots)
         return responses
-
-    # -- incremental plane maintenance ---------------------------------
-
-    def _sync_touched(self, tenant: Tenant) -> None:
-        """Drain a tenant's mutated cells into its persistent slot.
-
-        One claim touches one cell; one release touches at most two
-        (the freed cell and the promoted waiter) — each becomes four
-        word-span writes instead of a full repack.  Tenants without a
-        slot yet (never detected) just drop the backlog: their first
-        detect packs the current matrix wholesale.
-        """
-        touched = tenant.touched
-        if not touched:
-            return
-        if self._plane is not None:
-            slot = self._slots.get(tenant.tenant_id)
-            if slot is not None:
-                matrix = tenant.matrix
-                for s, t in touched:
-                    self._plane.update(slot, matrix, s, t)
-        touched.clear()
-
-    def _forget(self, tenant_id: str) -> None:
-        """Invalidate all per-tenant reduction state (detach/replace)."""
-        self._verdicts.pop(tenant_id, None)
-        slot = self._slots.pop(tenant_id, None)
-        if slot is not None and self._plane is not None:
-            self._plane.remove(slot)
 
     # -- detection -----------------------------------------------------
 
@@ -236,10 +181,13 @@ class ShardCore:
             self.detect_batches += 1
             self.dirty_reduced += len(fresh)
             self._c_dirty.inc(len(fresh))
-            if self._plane is not None:
-                self._reduce_incremental(fresh)
-            else:
-                self._reduce_per_tick(fresh)
+            results = batched_reduce([self.tenants[tid].matrix
+                                      for tid in fresh])
+            for tid, (deadlock, iterations, passes, residual) in zip(
+                    fresh, results):
+                self._verdicts[tid] = _CachedVerdict(
+                    self.tenants[tid], deadlock, iterations, passes,
+                    residual, len(fresh))
         for tid in tenant_ids:
             tenant = self.tenants[tid]
             cached = self._verdicts[tid]
@@ -248,46 +196,6 @@ class ShardCore:
                 cached.residual, batched=cached.batched)
             for index in detect_slots[tid]:
                 responses[index] = ok_response(ops[index], **payload)
-
-    def _reduce_incremental(self, fresh: list) -> None:
-        """Reduce dirty tenants on a scratch copy of their slots."""
-        slots = []
-        for tid in fresh:
-            tenant = self.tenants[tid]
-            slot = self._slots.get(tid)
-            if slot is None:
-                slot = self._plane.add(tenant.matrix)
-                self._slots[tid] = slot
-                self._c_repacks.inc()
-                # The pack reflects the matrix as of now; any backlog
-                # of touched cells is already in it.
-                tenant.touched.clear()
-            slots.append(slot)
-        reduction = self._plane.reduce(slots)
-        batched = len(fresh)
-        for position, tid in enumerate(fresh):
-            tenant = self.tenants[tid]
-            iterations, passes = reduction.counts(position)
-            self._verdicts[tid] = _CachedVerdict(
-                tenant, reduction.deadlocked(position), iterations,
-                passes, reduction.residual(position, tenant.matrix),
-                batched)
-
-    def _reduce_per_tick(self, fresh: list) -> None:
-        """No persistent plane (no NumPy, or vectorization forced off):
-        build a throwaway plane over the dirty tenants."""
-        tenants = [self.tenants[tid] for tid in fresh]
-        plane = batch_plane([tenant.matrix for tenant in tenants],
-                            vectorized=self.vectorized, obs=self.obs)
-        if self.vectorized is None and not plane.vectorized:
-            self.unpacked_fallbacks += 1
-        counts = plane.reduce_all()
-        verdicts = plane.deadlocked()
-        for position, tenant in enumerate(tenants):
-            self._verdicts[tenant.tenant_id] = _CachedVerdict(
-                tenant, verdicts[position], counts[position][0],
-                counts[position][1], plane.residual(position),
-                len(tenants))
 
     # -- tenant movement -----------------------------------------------
 
@@ -301,17 +209,16 @@ class ShardCore:
 
     def restore_tenant(self, envelope: dict) -> dict:
         tenant = Tenant.restore_state(envelope)
-        # A rebuilt tenant is a new object: wipe the old slot and
-        # cached verdict so nothing stale can ever answer for it.
-        self._forget(tenant.tenant_id)
+        # A rebuilt tenant is a new object: drop the cached verdict so
+        # nothing stale can ever answer for it.
+        self._verdicts.pop(tenant.tenant_id, None)
         self.tenants[tenant.tenant_id] = tenant
         return {"tenant": tenant.tenant_id,
                 "state_hash": envelope["state_hash"],
                 "tenants": len(self.tenants)}
 
 
-def shard_main(conn, shard_id: int,
-               vectorized: Optional[bool] = None) -> None:
+def shard_main(conn, shard_id: int) -> None:
     """Run a :class:`ShardCore` over a duplex Connection until EOF.
 
     The loop is deliberately boring: one request, one reply, FIFO — the
@@ -319,7 +226,7 @@ def shard_main(conn, shard_id: int,
     A SIGKILL here is exactly the crash the parent's snapshot+journal
     recovery absorbs.
     """
-    core = ShardCore(shard_id, vectorized=vectorized)
+    core = ShardCore(shard_id)
     while True:
         try:
             command, payload = conn.recv()

@@ -1,10 +1,10 @@
 """Per-tenant state: one (tasks x resources) RAG instance.
 
 A :class:`Tenant` wraps a :class:`~repro.rag.bitmatrix.BitMatrix` (the
-fast backend, always — the batched reducer packs straight from its bit
-planes) plus the operation counters the service reports.  Grant policy
-is deliberately simple and *derivable from the matrix alone* so a
-snapshot needs no auxiliary queue state:
+fast backend, always — the shard reduces a copy of it) plus the
+operation counters the service reports.  Grant policy is deliberately
+simple and *derivable from the matrix alone* so a snapshot needs no
+auxiliary queue state:
 
 * ``claim(p, q)`` grants immediately iff resource ``q`` is free,
   otherwise records the request edge (the claim is *blocked*);
@@ -44,9 +44,8 @@ from repro.rag.generate import random_state, resolve_rng
 from repro.rag.matrix import CellState
 from repro.service.protocol import ServiceOpError
 
-#: Admission sanity bound on tenant dimensions.  No longer a packing
-#: limit — the multi-word planes pack any width into ceil(side/64)
-#: uint64 words — just a guard against absurd attach requests.
+#: Admission sanity bound on tenant dimensions: not a kernel limit,
+#: just a guard against absurd attach requests.
 MAX_TENANT_SIDE = 512
 
 SNAPSHOT_KIND = "service.tenant"
@@ -59,26 +58,17 @@ IDEM_WINDOW = 128
 
 
 def _build_matrix(spec: Mapping[str, Any]) -> BitMatrix:
-    """Tenant matrix from an attach request (rows > seed > empty)."""
-    rows = spec.get("rows")
-    if rows is not None:
-        matrix = BitMatrix.from_rows(rows)
-    else:
-        m = int(spec.get("m", 8))
-        n = int(spec.get("n", 8))
-        if not (1 <= m <= MAX_TENANT_SIDE and 1 <= n <= MAX_TENANT_SIDE):
-            raise ServiceOpError(
-                "bad-request",
-                f"tenant dims {m}x{n} outside 1..{MAX_TENANT_SIDE}")
-        if spec.get("seed") is not None:
-            rag = random_state(
-                m, n,
-                grant_fraction=float(spec.get("grant_fraction", 0.6)),
-                request_fraction=float(spec.get("request_fraction", 0.3)),
-                rng=resolve_rng(seed=int(spec["seed"])))
-            matrix = BitMatrix.from_rag(rag)
-        else:
-            matrix = BitMatrix(m, n)
+    """Tenant matrix from an attach request (rows > seed > empty).
+
+    Every malformed spec is a ``bad-request``: a bad cell token, ragged
+    or missing rows, ``rows`` that is not a list of strings, or numbers
+    that do not parse.
+    """
+    try:
+        matrix = _matrix_from_spec(spec)
+    except (ResourceProtocolError, TypeError, ValueError) as exc:
+        raise ServiceOpError("bad-request",
+                             f"malformed attach: {exc}") from None
     if matrix.m > MAX_TENANT_SIDE or matrix.n > MAX_TENANT_SIDE:
         raise ServiceOpError(
             "bad-request",
@@ -87,12 +77,34 @@ def _build_matrix(spec: Mapping[str, Any]) -> BitMatrix:
     return matrix
 
 
+def _matrix_from_spec(spec: Mapping[str, Any]) -> BitMatrix:
+    rows = spec.get("rows")
+    if rows is not None:
+        if not (isinstance(rows, list)
+                and all(isinstance(row, str) for row in rows)):
+            raise TypeError("rows must be a list of strings")
+        return BitMatrix.from_rows(rows)
+    m = int(spec.get("m", 8))
+    n = int(spec.get("n", 8))
+    if not (1 <= m <= MAX_TENANT_SIDE and 1 <= n <= MAX_TENANT_SIDE):
+        raise ServiceOpError(
+            "bad-request",
+            f"tenant dims {m}x{n} outside 1..{MAX_TENANT_SIDE}")
+    if spec.get("seed") is None:
+        return BitMatrix(m, n)
+    rag = random_state(
+        m, n,
+        grant_fraction=float(spec.get("grant_fraction", 0.6)),
+        request_fraction=float(spec.get("request_fraction", 0.3)),
+        rng=resolve_rng(seed=int(spec["seed"])))
+    return BitMatrix.from_rag(rag)
+
+
 class Tenant:
     """One tenant's matrix plus its service-side counters."""
 
     __slots__ = ("tenant_id", "matrix", "op_seq", "grants", "blocked",
-                 "releases", "detects", "touched", "idem_seen",
-                 "deduped")
+                 "releases", "detects", "idem_seen", "deduped")
 
     def __init__(self, tenant_id: str, matrix: BitMatrix) -> None:
         self.tenant_id = tenant_id
@@ -104,9 +116,6 @@ class Tenant:
         self.blocked = 0
         self.releases = 0
         self.detects = 0
-        #: ``(s, t)`` cells mutated since the shard last drained them
-        #: into its persistent plane (incremental repack avoidance).
-        self.touched: list[tuple[int, int]] = []
         #: Bounded ``idem -> recorded response`` window (insertion
         #: ordered; oldest evicted past :data:`IDEM_WINDOW`).
         self.idem_seen: dict[str, dict] = {}
@@ -183,7 +192,6 @@ class Tenant:
         except ResourceProtocolError as exc:
             raise ServiceOpError("protocol-violation", str(exc)) from exc
         self.op_seq += 1
-        self.touched.append((s, t))
         if free:
             self.grants += 1
         else:
@@ -203,7 +211,6 @@ class Tenant:
                 "protocol-violation",
                 f"{process} does not hold {resource}")
         self.matrix.clear(s, t)
-        self.touched.append((s, t))
         promoted: Optional[str] = None
         waiters = self.matrix._row_r[s]
         if waiters:
@@ -212,7 +219,6 @@ class Tenant:
             self.matrix.clear(s, low)
             self.matrix.set_grant(s, low)
             promoted = self.matrix.process_names[low]
-            self.touched.append((s, low))
         self.op_seq += 1
         self.releases += 1
         response = {"released": True, "promoted": promoted,

@@ -1,31 +1,27 @@
-"""Differential suite: the batched plane === the per-tenant kernel.
+"""Differential suite: :func:`batched_reduce` === the cell-object oracle.
 
 Every case builds an ensemble of seeded states, reduces it once through
-:class:`~repro.rag.batch.BatchPlane` (or the Python fallback) and once
-through per-tenant :meth:`BitMatrix.reduce`, and demands bit-identical
-iterations, passes, verdicts and residual cells — the same contract
-``tests/test_bitmatrix_equiv.py`` holds between BitMatrix and the
-cell-object reference.  The parametrized ensembles cover > 100 seeded
-cases plus the structured adversaries (chains, cycles, worst cases),
-mixed-shape packing, multi-word (65x65 / 100x100 / 128x128) planes,
-and the persistent :class:`~repro.rag.batch.PlaneAccumulator` under
-seeded random op streams.
+:func:`~repro.rag.batch.batched_reduce` (the shard's per-tick loop) and
+once per tenant through the :class:`~repro.rag.matrix.StateMatrix`
+reference, and demands identical iterations, passes, verdicts, residual
+cells and edge counts, with transposes that match the residual rows.
+The ensembles cover > 100 seeded cases plus the structured adversaries
+(chains, cycles, worst cases), mixed shapes, sides past one machine word
+and seeded random op streams.
+
+Some test names predate the single kernel: ``vectorized`` and
+``python_fallback`` were the NumPy plane and its pure-Python twin.  Both
+now drive the one loop, from RAG and from BitMatrix sources.
 """
 
 import random
 
 import pytest
 
-from repro.rag.batch import (
-    HAS_NUMPY,
-    PLANE_WORD_BITS,
-    BatchPlane,
-    PythonBatchPlane,
-    batch_plane,
-    batched_reduce,
-    plane_words,
-)
-from repro.rag.bitmatrix import BitMatrix
+from repro.deadlock.pdda import terminal_reduction
+from repro.errors import ConfigurationError
+from repro.rag.batch import batched_reduce
+from repro.rag.bitmatrix import REFERENCE_BACKEND, BitMatrix
 from repro.rag.generate import (
     chain_state,
     cycle_state,
@@ -36,9 +32,6 @@ from repro.rag.generate import (
 from repro.rag.matrix import CellState
 
 SEED_ROOT = 42
-
-needs_numpy = pytest.mark.skipif(not HAS_NUMPY,
-                                 reason="numpy not installed")
 
 #: (m, n, grant_fraction, request_fraction) shape mix per ensemble.
 SHAPES = ((3, 3, 0.5, 0.3), (5, 8, 0.6, 0.3), (8, 5, 0.8, 0.5),
@@ -54,100 +47,90 @@ def _ensemble(seed_root: int) -> list:
     return states
 
 
-def _assert_matches_per_tenant(states, vectorized) -> None:
-    plane = batch_plane(states, vectorized=vectorized)
-    batch_counts = plane.reduce_all()
-    batch_verdicts = plane.deadlocked()
-    for index, state in enumerate(states):
-        solo = BitMatrix.from_rag(state) if not isinstance(
-            state, BitMatrix) else state.copy()
-        solo_counts = solo.reduce()
-        assert batch_counts[index] == solo_counts, (
-            f"tenant {index}: batched {batch_counts[index]} != "
-            f"per-tenant {solo_counts}")
-        assert batch_verdicts[index] == (not solo.is_empty())
-        residual = plane.residual(index)
-        assert residual == solo, f"tenant {index}: residual cells differ"
-        assert residual.edge_count == solo.edge_count
+def _assert_matches_reference(states) -> None:
+    results = batched_reduce(states)
+    assert len(results) == len(states)
+    for index, (state, result) in enumerate(zip(states, results)):
+        deadlock, iterations, passes, residual = result
+        expected = terminal_reduction(state, backend=REFERENCE_BACKEND)
+        assert (iterations, passes) == (expected.iterations,
+                                         expected.passes), (
+            f"tenant {index}: batched {(iterations, passes)} != "
+            f"reference {(expected.iterations, expected.passes)}")
+        assert deadlock == (not expected.complete)
+        assert residual == expected.matrix, \
+            f"tenant {index}: residual cells differ"
+        rebuilt = BitMatrix.from_matrix(expected.matrix)
+        assert residual._col_r == rebuilt._col_r
+        assert residual._col_g == rebuilt._col_g
+        assert residual.edge_count == expected.matrix.edge_count
 
 
-@needs_numpy
 @pytest.mark.parametrize("seed_root", range(18))
 def test_vectorized_matches_per_tenant_random(seed_root):
     """18 ensembles x 6 shapes = 108 seeded random cases."""
-    _assert_matches_per_tenant(_ensemble(seed_root), vectorized=True)
+    _assert_matches_reference(_ensemble(seed_root))
 
 
 @pytest.mark.parametrize("seed_root", range(4))
 def test_python_fallback_matches_per_tenant(seed_root):
-    _assert_matches_per_tenant(_ensemble(seed_root), vectorized=False)
+    """BitMatrix sources: reduced on copies, never consumed."""
+    sources = [BitMatrix.from_rag(state)
+               for state in _ensemble(1000 + seed_root)]
+    before = [source.copy() for source in sources]
+    _assert_matches_reference(sources)
+    for source, original in zip(sources, before):
+        assert source == original
+        assert source.edge_count == original.edge_count
 
 
-@needs_numpy
 def test_structured_adversaries_match():
     """Chains (deepest reduction), cycles (irreducible), worst cases."""
     states = [chain_state(2), chain_state(17), chain_state(32),
               cycle_state(2), cycle_state(9), cycle_state(24),
               worst_case_state(12, 31), worst_case_state(31, 12),
               deadlock_free_state(10, 10, seed=7)]
-    _assert_matches_per_tenant(states, vectorized=True)
+    _assert_matches_reference(states)
 
 
-@needs_numpy
 def test_mixed_shapes_pack_inertly():
-    """Padding rows/columns never read as terminal or leak edges."""
+    """Tenants of different shapes in one call keep their own shapes."""
     states = [random_state(2, 11, seed=1), random_state(11, 2, seed=2),
               random_state(7, 7, seed=3), cycle_state(3)]
-    results = batched_reduce(states, vectorized=True)
-    for (deadlock, iterations, passes, residual), state in zip(results,
-                                                               states):
-        solo = BitMatrix.from_rag(state)
-        solo_iters, solo_passes = solo.reduce()
-        assert (iterations, passes) == (solo_iters, solo_passes)
-        assert deadlock == (not solo.is_empty())
-        assert residual == solo
+    _assert_matches_reference(states)
+    for (_deadlock, _iterations, _passes, residual), state in zip(
+            batched_reduce(states), states):
         assert (residual.m, residual.n) == (state.num_resources,
                                             state.num_processes)
 
 
-@needs_numpy
-def test_vectorized_and_fallback_agree():
-    states = _ensemble(99)
-    fast = batched_reduce(states, vectorized=True)
-    slow = batched_reduce(states, vectorized=False)
-    for (fd, fi, fp, fres), (sd, si, sp, sres) in zip(fast, slow):
-        assert (fd, fi, fp) == (sd, si, sp)
-        assert fres == sres
-
-
-@needs_numpy
 @pytest.mark.parametrize("m,n", [(65, 65), (100, 100), (128, 128),
                                  (65, 4), (4, 65), (128, 24)])
 def test_multiword_planes_match_per_tenant(m, n):
-    """Sides past one word pack into ceil(side/64) words, same bits.
+    """Sides past one machine word reduce exactly like narrow ones.
 
-    The old single-word plane rejected anything wider than 64; these
-    ensembles must now ride the vectorized kernel (no fallback) and
-    stay bit-identical to per-tenant reduction.
+    The worst-case chain is held to its closed form, ``min(m, n)``
+    iterations to empty, which ``test_reduce_worst_case_chains`` in
+    ``tests/test_bitmatrix_equiv.py`` checks against the reference; the
+    reference itself needs seconds per chain at these sides.
     """
     states = [random_state(m, n, grant_fraction=0.7,
                            request_fraction=0.4,
                            seed=SEED_ROOT * 1000 + m * 7 + n + index)
               for index in range(4)]
-    states.append(worst_case_state(m, n))
-    plane = batch_plane(states)
-    assert plane.vectorized, "wide tenants must not fall back"
-    assert plane.words_per_row == plane_words(n)
-    assert plane.words_per_column == plane_words(m)
-    _assert_matches_per_tenant(states, vectorized=True)
+    _assert_matches_reference(states)
+    k = min(m, n)
+    (deadlock, iterations, passes, residual), = batched_reduce(
+        [worst_case_state(m, n)])
+    assert (deadlock, iterations, passes) == (False, k, k + 1)
+    assert residual.is_empty() and not any(residual._col_r + residual._col_g)
 
 
-@needs_numpy
 @pytest.mark.parametrize("side", [65, 100, 128])
 def test_multiword_random_op_streams(side):
     """Drive a wide matrix through a seeded op stream; after every few
-    mutations the batched reduction of a copy must equal the solo
-    kernel's — the multi-word analogue of the service tick."""
+    mutations the batched reduction of the live matrix must equal the
+    reference — the multi-word analogue of the service tick."""
     rng = random.Random(SEED_ROOT * side)
     matrix = BitMatrix(side, side)
     for step in range(120):
@@ -161,151 +144,27 @@ def test_multiword_random_op_streams(side):
                 matrix.set_request(s, t)
         else:
             matrix.clear(s, t)
-        if step % 10 == 9:
-            plane = BatchPlane([matrix])
-            (iterations, passes), = plane.reduce_all()
-            solo = matrix.copy()
-            assert (iterations, passes) == solo.reduce()
-            assert plane.residual(0) == solo
+        if step % 20 == 19:
+            _assert_matches_reference([matrix])
 
 
 def test_word_width_unbounded():
-    """There is no packing width limit anymore, only word growth."""
-    assert plane_words(1) == 1
-    assert plane_words(64) == 1
-    assert plane_words(65) == 2
-    assert plane_words(128) == 2
-    assert plane_words(129) == 3
-    assert PLANE_WORD_BITS == 64
-
-
-@needs_numpy
-def test_fallback_is_observable():
-    """An automatic drop to the sequential plane must leave a trace:
-    the ``matrix.batch.unpacked_fallbacks`` counter and a flight
-    event.  (With numpy importable the automatic path never falls
-    back, so force the decision by faking HAS_NUMPY off.)"""
-    from repro.obs import Observability
-    import repro.rag.batch as batch_module
-
-    obs = Observability(label="fallback-test")
-    obs.flight.enable()
-    original = batch_module.HAS_NUMPY
-    batch_module.HAS_NUMPY = False
-    try:
-        plane = batch_module.batch_plane(
-            [cycle_state(4)], obs=obs)
-    finally:
-        batch_module.HAS_NUMPY = original
-    assert isinstance(plane, PythonBatchPlane)
-    counter = obs.metrics.counter(
-        "matrix.batch.unpacked_fallbacks", "")
-    assert counter.value == 1
-    kinds = [event["kind"] for event in obs.flight.events()]
-    assert "batch_unpacked_fallback" in kinds
-    # An explicit vectorized=False is a deliberate choice: no signal.
-    batch_module.batch_plane([cycle_state(4)], vectorized=False,
-                             obs=obs)
-    assert counter.value == 1
+    """No width limit: very thin, very tall and wide tenants."""
+    _assert_matches_reference([
+        random_state(1, 200, seed=5), random_state(200, 1, seed=6),
+        random_state(150, 3, grant_fraction=0.9, seed=7),
+        random_state(130, 70, grant_fraction=0.8, seed=8),
+        worst_case_state(3, 150)])
 
 
 def test_empty_ensemble_rejected():
-    from repro.errors import ConfigurationError
     with pytest.raises(ConfigurationError):
-        batch_plane([])
+        batched_reduce([])
 
 
-@needs_numpy
 def test_residuals_are_independent_copies():
-    states = [cycle_state(4)]
-    plane = BatchPlane(states)
-    plane.reduce_all()
-    first = plane.residual(0)
+    source = BitMatrix.from_rag(cycle_state(4))
+    (_deadlock, _iterations, _passes, first), = batched_reduce([source])
     first.clear_row(0)
-    assert plane.residual(0).edge_count == 8  # plane unaffected
-
-
-# -- the persistent accumulator (the service tick path) -----------------
-
-@needs_numpy
-def test_accumulator_matches_batch_plane():
-    """add() + reduce() must equal a fresh BatchPlane reduction, and
-    the persistent planes must survive the reduction untouched."""
-    from repro.rag.batch import PlaneAccumulator
-
-    matrices = [BitMatrix.from_rag(state) for state in _ensemble(7)]
-    acc = PlaneAccumulator()
-    slots = [acc.add(matrix) for matrix in matrices]
-    assert acc.repacks == len(matrices)
-    reduction = acc.reduce(slots)
-    for position, matrix in enumerate(matrices):
-        solo = matrix.copy()
-        counts = solo.reduce()
-        assert reduction.counts(position) == counts
-        assert reduction.deadlocked(position) == (not solo.is_empty())
-        assert reduction.residual(position, matrix) == solo
-    # Scratch semantics: reducing the same slots again gives the same
-    # answer — the persistent planes were not consumed.
-    again = acc.reduce(slots)
-    for position in range(len(matrices)):
-        assert again.counts(position) == reduction.counts(position)
-
-
-@needs_numpy
-@pytest.mark.parametrize("side", [12, 65, 100])
-def test_accumulator_incremental_updates(side):
-    """In-place row/column refreshes track a seeded op stream exactly —
-    no repack between mutations, including across the word boundary."""
-    from repro.rag.batch import PlaneAccumulator
-
-    acc = PlaneAccumulator()
-    matrix = BitMatrix(side, side)
-    slot = acc.add(matrix)
-    rng = random.Random(SEED_ROOT * 31 + side)
-    for step in range(150):
-        s = rng.randrange(side)
-        t = rng.randrange(side)
-        cell = matrix.get(s, t)
-        if cell is CellState.EMPTY:
-            if matrix.row_bwo(s)[1] == 0:
-                matrix.set_grant(s, t)
-            else:
-                matrix.set_request(s, t)
-        else:
-            matrix.clear(s, t)
-        acc.update(slot, matrix, s, t)
-        if step % 15 == 14:
-            reduction = acc.reduce([slot])
-            solo = matrix.copy()
-            assert reduction.counts(0) == solo.reduce()
-            assert reduction.residual(0, matrix) == solo
-    assert acc.repacks == 1, "updates must never trigger a repack"
-
-
-@needs_numpy
-def test_accumulator_slot_recycling_and_growth():
-    """remove() recycles slots zeroed; geometry grows for wider
-    late-comers without disturbing existing tenants."""
-    from repro.rag.batch import PlaneAccumulator
-
-    acc = PlaneAccumulator()
-    small = BitMatrix.from_rag(cycle_state(4))
-    slot_a = acc.add(small)
-    acc.remove(slot_a)
-    replacement = BitMatrix.from_rag(chain_state(3))
-    slot_b = acc.add(replacement)
-    assert slot_b == slot_a, "freed slot should be recycled"
-    reduction = acc.reduce([slot_b])
-    solo = replacement.copy()
-    assert reduction.counts(0) == solo.reduce()
-    assert reduction.residual(0, replacement) == solo
-    # A 100-wide tenant forces envelope + word growth; the recycled
-    # small tenant must still reduce identically afterwards.
-    wide = BitMatrix.from_rag(worst_case_state(100, 100))
-    slot_c = acc.add(wide)
-    assert acc.grows >= 1
-    reduction = acc.reduce([slot_b, slot_c])
-    solo_small, solo_wide = replacement.copy(), wide.copy()
-    assert reduction.counts(0) == solo_small.reduce()
-    assert reduction.counts(1) == solo_wide.reduce()
-    assert reduction.residual(1, wide) == solo_wide
+    (_deadlock, _iterations, _passes, again), = batched_reduce([source])
+    assert source.edge_count == again.edge_count == 8  # source unaffected

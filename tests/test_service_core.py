@@ -379,7 +379,7 @@ def test_shard_only_dirty_tenants_reduced():
 
 def test_shard_restore_invalidates_cache_and_slot():
     """Migration/crash-recovery replaces the Tenant object; the stale
-    verdict and plane slot must never answer for the twin."""
+    cached verdict must never answer for the twin."""
     core = ShardCore(0)
     tenant = Tenant.from_attach("t", {"m": 2, "n": 2})
     core.restore_tenant(tenant.snapshot_state())
@@ -404,7 +404,7 @@ def test_shard_detach_frees_plane_slot():
     assert "t" not in core.tenants
     kind, reply = core.handle("ping", None)
     assert kind == "ok" and reply["tenants"] == 0
-    # Reattach and detect again: a fresh pack, not a stale slot.
+    # Reattach and detect again: a fresh reduction, not a stale verdict.
     fresh = Tenant.from_attach("t", {"m": 2, "n": 2})
     core.restore_tenant(fresh.snapshot_state())
     assert _detect(core, "t")["deadlock"] is False
@@ -421,9 +421,6 @@ def test_shard_ping_reports_reduction_tallies():
     assert reply["detect_batches"] == 1
     assert reply["dirty_tenants"] == 1
     assert reply["skipped_detects"] == 1
-    from repro.rag.batch import HAS_NUMPY
-    assert reply["repacks"] == (1 if HAS_NUMPY else 0)
-    assert reply["unpacked_fallbacks"] == (0 if HAS_NUMPY else 2)
 
 
 def test_shard_obs_counters_attribute_the_win():
@@ -440,20 +437,81 @@ def test_shard_obs_counters_attribute_the_win():
     metrics = obs.metrics
     assert metrics.counter("matrix.batch.dirty_tenants", "").value == 3
     assert metrics.counter("matrix.batch.skipped", "").value == 3
-    from repro.rag.batch import HAS_NUMPY
-    if HAS_NUMPY:
-        assert metrics.counter("matrix.batch.repacks", "").value == 3
 
 
-def test_shard_vectorized_false_still_incremental():
-    """Forcing the sequential plane keeps the caching semantics."""
-    core = ShardCore(0, vectorized=False)
-    tenant = Tenant.from_attach("t", {"seed": 8, "m": 8, "n": 8})
-    core.restore_tenant(tenant.snapshot_state())
-    first = _detect(core, "t")
-    again = _detect(core, "t")
-    assert core.detect_batches == 1
-    assert again["iterations"] == first["iterations"]
-    solo = core.tenants["t"].matrix.copy()
-    iterations, passes = solo.reduce()
-    assert (first["iterations"], first["passes"]) == (iterations, passes)
+# ---------------------------------------------------------------------------
+# exhaustive small scope: every legal state x every legal single op
+
+
+def _single_ops(matrix):
+    """Every legal claim (empty cell) and release (granted cell)."""
+    from repro.rag.matrix import CellState
+    for s in range(matrix.m):
+        for t in range(matrix.n):
+            cell = matrix.get(s, t)
+            if cell is CellState.EMPTY:
+                yield "claim", t, s
+            elif cell is CellState.GRANT:
+                yield "release", t, s
+
+
+def _reference_verdict(matrix):
+    from repro.deadlock.pdda import pdda_detect
+    from repro.rag.bitmatrix import REFERENCE_BACKEND
+    result = pdda_detect(matrix, backend=REFERENCE_BACKEND)
+    residual = result.residual
+    processes = [residual.process_names[t] for t in range(residual.n)
+                 if residual.column_bwo(t) != (0, 0)]
+    return (result.deadlock, processes, result.iterations, result.passes)
+
+
+def _reply_verdict(reply):
+    return (reply["deadlock"], reply["deadlocked_processes"],
+            reply["iterations"], reply["passes"])
+
+
+@pytest.mark.parametrize("m,n", [(2, 3), (3, 2)])
+def test_shard_every_single_op_matches_fresh_reduce(m, n):
+    """Warm the verdict cache, apply one op, detect again: the answer
+    must equal a from-scratch reference reduction of the new state."""
+    from repro.experiments.exhaustive_bound import enumerate_states
+    from repro.rag.bitmatrix import BitMatrix
+    core = ShardCore(0)
+    checked = 0
+    for state in enumerate_states(m, n):
+        before = _reference_verdict(state)
+        for name, t, s in _single_ops(state):
+            core.restore_tenant(
+                Tenant("t", BitMatrix.from_matrix(state)).snapshot_state())
+            assert _reply_verdict(_detect(core, "t")) == before
+            tenant = core.tenants["t"]
+            op = {"op": name, "tenant": "t",
+                  "process": tenant.matrix.process_names[t],
+                  "resource": tenant.matrix.resource_names[s]}
+            _kind, replies = core.handle(
+                "batch", [op, {"op": "detect", "tenant": "t"}])
+            assert replies[0]["ok"] is True, replies[0]
+            after = replies[1]
+            assert after["op_seq"] == 1
+            assert _reply_verdict(after) == _reference_verdict(
+                tenant.matrix), (state.render(), op)
+            checked += 1
+    assert core.detect_batches == 2 * checked
+
+
+def test_service_entry_point_does_not_import_numpy():
+    """NumPy is a test dependency only: the server process never loads
+    it, which keeps the shard workers' resident set small."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys, repro.service.__main__\n"
+            "assert 'numpy' not in sys.modules, 'numpy was imported'\n")
+    subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                   timeout=60)

@@ -19,6 +19,7 @@ from repro.service import (
     ServiceConfig,
     ServiceOpError,
 )
+from repro.service.protocol import decode_line, encode_message
 
 
 def _run(coro):
@@ -92,6 +93,54 @@ def test_duplicate_and_unknown_tenant():
             assert excinfo.value.code == "unknown-tenant"
         finally:
             await _stop(service, client)
+    _run(scenario())
+
+
+#: Attach specs that cannot build a matrix: bad cell token, ragged rows,
+#: no rows, rows as one string, and numbers that do not parse.
+MALFORMED_ATTACHES = (
+    {"rows": ["g x"]},
+    {"rows": ["g .", "r"]},
+    {"rows": []},
+    {"rows": "g r"},
+    {"rows": [["g", "r"]]},
+    {"m": "eight"},
+    {"m": [4]},
+    {"seed": "abc"},
+    {"seed": 1, "grant_fraction": "lots"},
+)
+
+
+def test_malformed_attach_is_bad_request_and_keeps_connection():
+    """Each bad attach is answered ``bad-request`` under its own id, and
+    the same socket then serves a valid op."""
+    async def scenario():
+        service = DetectionService(ServiceConfig(
+            shards=1, use_processes=False, tick_interval=0.001))
+        await service.start(host="127.0.0.1", port=0)
+        reader, writer = await asyncio.open_connection(
+            "127.0.0.1", service.tcp_port)
+
+        async def call(message):
+            writer.write(encode_message(message))
+            await writer.drain()
+            line = await asyncio.wait_for(reader.readline(), 5.0)
+            assert line, f"connection closed after {message!r}"
+            return decode_line(line)
+
+        try:
+            for number, spec in enumerate(MALFORMED_ATTACHES):
+                reply = await call({"op": "attach", "tenant": "bad",
+                                    "id": number, **spec})
+                assert reply.get("error") == "bad-request", (spec, reply)
+                assert reply["id"] == number
+            reply = await call({"op": "attach", "tenant": "good",
+                                "id": "ok", "m": 2, "n": 2})
+            assert reply["ok"] is True and reply["id"] == "ok"
+            assert service.stats()["tenants"] == 1
+        finally:
+            writer.close()
+            await service.stop()
     _run(scenario())
 
 
