@@ -33,8 +33,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="also listen on a Unix socket at PATH")
     parser.add_argument("--shards", type=int, default=2,
                         help="worker shard count (default 2)")
-    parser.add_argument("--tick-ms", type=float, default=2.0,
-                        help="batching tick in milliseconds (default 2)")
+    parser.add_argument("--tick-ms", type=float, default=0.0,
+                        help="batching window in milliseconds from the "
+                             "first queued op (default 0: the next "
+                             "event-loop iteration)")
     parser.add_argument("--max-tenants", type=int, default=4096,
                         help="admission-control tenant cap")
     parser.add_argument("--max-pending", type=int, default=4096,

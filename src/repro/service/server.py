@@ -3,10 +3,12 @@
 :class:`DetectionService` accepts newline-delimited JSON connections
 (TCP and/or Unix socket), applies admission control and bounded-queue
 backpressure, and coalesces accepted tenant operations into *ticks*:
-every ``tick_interval`` seconds the queue is drained, grouped by shard,
-and shipped as one ``batch`` command per shard, whose detects are
-answered by one reduction per dirty tenant (see
-:mod:`repro.service.shard`).
+the first op queued into an empty queue arms a tick ``tick_interval``
+seconds later (by default 0, the next event-loop iteration), which
+drains the queue, groups it by shard and ships one ``batch`` command
+per shard, whose detects are answered by one reduction per dirty
+tenant (see :mod:`repro.service.shard`).  Each connection's answers
+collect in an outbox that is written once per loop iteration.
 
 Shards run either in-process (tests, campaign scenarios) or as
 ``multiprocessing`` worker processes (the deployment the soak
@@ -37,6 +39,7 @@ trips (see :data:`repro.obs.flight.TRIP_KINDS`).
 from __future__ import annotations
 
 import asyncio
+import functools
 import multiprocessing
 import time
 from collections import deque
@@ -60,6 +63,12 @@ from repro.service.protocol import (
 from repro.service.shard import ShardCore, shard_main
 from repro.service.tenant import Tenant
 
+#: Seconds between hang checks of worker-process shards (far under any
+#: sensible ``shard_timeout``).
+_HANG_CHECK_INTERVAL = 0.5
+#: Seconds between looks at a migrating tenant's in-flight count.
+_QUIESCE_POLL = 0.001
+
 
 @dataclass
 class ServiceConfig:
@@ -70,8 +79,11 @@ class ServiceConfig:
     #: True: shards are multiprocessing workers (SIGKILL-able);
     #: False: in-process cores (tests, campaign scenarios).
     use_processes: bool = False
-    #: Seconds between queue drains; one drain = one batch per shard.
-    tick_interval: float = 0.002
+    #: Batching window: seconds from the first op queued into an empty
+    #: queue to the tick that ships it (one batch per shard).  0 ticks
+    #: on the next loop iteration, after every line already buffered
+    #: on every readable socket has been submitted.
+    tick_interval: float = 0.0
     #: Admission control: the tenant table's hard cap.
     max_tenants: int = 4096
     #: Bounded queue: total queued + in-flight operations.
@@ -101,6 +113,35 @@ class _QueuedOp:
         self.message = message
         self.future = future
         self.enqueued = enqueued
+
+
+class _Outbox:
+    """One connection's encoded answers, written once per loop iteration."""
+
+    __slots__ = ("writer", "lines")
+
+    def __init__(self, writer) -> None:
+        self.writer = writer
+        self.lines: list = []
+
+    def put(self, response: dict) -> None:
+        if self.writer.is_closing():
+            return                     # the client is gone: drop it
+        if not self.lines:
+            asyncio.get_running_loop().call_soon(self.flush)
+        self.lines.append(encode_message(response))
+
+    def answer(self, future: "asyncio.Future") -> None:
+        """Done-callback of a submitted op's future."""
+        self.put(future.result())
+
+    def flush(self) -> None:
+        if not self.lines:
+            return
+        data = b"".join(self.lines)
+        self.lines.clear()
+        if not self.writer.is_closing():
+            self.writer.write(data)
 
 
 class _TenantRecord:
@@ -146,6 +187,8 @@ class ShardHandle:
         self.core: Optional[ShardCore] = None
         self.process = None
         self.conn = None
+        #: Tenant records whose ``shard_id`` is this shard.
+        self.tenants = 0
         #: FIFO of (command, future, context) awaiting a reply.
         self._pending: deque = deque()
         self._oldest_sent: Optional[float] = None
@@ -170,10 +213,6 @@ class ShardHandle:
                 self.conn.fileno(), self._on_readable)
         else:
             self.core = ShardCore(self.shard_id, obs=self.service.obs)
-
-    def tenant_count(self) -> int:
-        return sum(1 for record in self.service.tenants.values()
-                   if record.shard_id == self.shard_id)
 
     # -- request/reply -------------------------------------------------
 
@@ -290,9 +329,10 @@ class DetectionService:
         self.tenants: dict[str, _TenantRecord] = {}
         self.shards: list[ShardHandle] = []
         self._queue: list = []          # _QueuedOp, arrival order
-        self._connections: set = set()  # live client writers (drain)
+        self._connections: set = set()  # live client _Outbox (drain)
         self._queued_ops = 0
-        self._tick_task = None
+        self._tick_handle: Optional[asyncio.TimerHandle] = None
+        self._hang_timer: Optional[asyncio.TimerHandle] = None
         self._servers: list = []
         self._draining = False
         self._started = False
@@ -352,7 +392,7 @@ class DetectionService:
     async def start(self, host: Optional[str] = None,
                     port: Optional[int] = None,
                     unix_path: Optional[str] = None) -> None:
-        """Spin up shards, listeners, and the tick loop."""
+        """Spin up shards, listeners, and the hang check."""
         if self._started:
             raise ServiceError("service already started")
         self._started = True
@@ -369,7 +409,8 @@ class DetectionService:
             self._servers.append(await asyncio.start_unix_server(
                 self._handle_connection, path=unix_path,
                 limit=MAX_LINE_BYTES))
-        self._tick_task = asyncio.create_task(self._tick_loop())
+        if self.config.use_processes:
+            self._check_hangs()
 
     @property
     def tcp_port(self) -> Optional[int]:
@@ -383,14 +424,11 @@ class DetectionService:
     async def stop(self) -> None:
         """Drain: refuse new work, flush the queue, stop shards."""
         self._draining = True
-        if self._tick_task is not None:
+        if self._hang_timer is not None:
+            self._hang_timer.cancel()
+        if self._started:
             # One final drain so already-accepted ops are answered.
             self._run_tick()
-            self._tick_task.cancel()
-            try:
-                await self._tick_task
-            except asyncio.CancelledError:
-                pass
         deadline = time.monotonic() + self.config.drain_timeout
         while (any(record.inflight for record in self.tenants.values())
                and time.monotonic() < deadline):
@@ -404,11 +442,18 @@ class DetectionService:
                 queued.future.set_result(error_response(
                     queued.message, "shutting-down"))
         self._queue.clear()
+        if self._tick_handle is not None:
+            self._tick_handle.cancel()
+            self._tick_handle = None
         # Graceful connection drain: every accepted op has been settled
-        # (answered or refused ``shutting-down``) by now, so give each
-        # live connection a moment to flush its response lines, then
-        # close — clients see complete answers, never a mid-line cut.
-        for writer in list(self._connections):
+        # (answered or refused ``shutting-down``) by now.  One loop hop
+        # runs the answers' done-callbacks into the outboxes; flush
+        # each, give it a moment to reach the socket, then close —
+        # clients see complete answers, never a mid-line cut.
+        await asyncio.sleep(0)
+        for outbox in list(self._connections):
+            outbox.flush()
+            writer = outbox.writer
             try:
                 await asyncio.wait_for(writer.drain(),
                                        self.config.drain_timeout)
@@ -426,18 +471,20 @@ class DetectionService:
     # -- connection handling -------------------------------------------
 
     async def _handle_connection(self, reader, writer) -> None:
-        lock = asyncio.Lock()
-        tasks: set = set()
-        self._connections.add(writer)
+        outbox = _Outbox(writer)
+        self._connections.add(outbox)
         try:
             while True:
+                # Backpressure: returns at once unless the transport
+                # paused on a full write buffer.
+                await writer.drain()
                 try:
                     line = await reader.readline()
                 except ValueError:
                     # Oversized line: the stream limit fired and the
                     # framing is lost — refuse and drop the connection
                     # (other clients' handlers are unaffected).
-                    await self._write(writer, lock, error_response(
+                    outbox.put(error_response(
                         None, "bad-request",
                         f"line exceeds {MAX_LINE_BYTES} bytes"))
                     break
@@ -449,46 +496,24 @@ class DetectionService:
                     message = decode_line(line)
                     op = validate_request(message)
                 except ServiceOpError as exc:
-                    await self._write(writer, lock, error_response(
-                        None, exc.code, exc.detail))
+                    outbox.put(error_response(None, exc.code, exc.detail))
                     continue
                 if op in ADMIN_OPS:
-                    response = await self._admin(op, message)
-                    await self._write(writer, lock, response)
+                    outbox.put(await self._admin(op, message))
                     if op == "shutdown":
                         break
                     continue
-                future = self.submit(message)
-                task = asyncio.create_task(
-                    self._reply_when_done(writer, lock, future))
-                tasks.add(task)
-                task.add_done_callback(tasks.discard)
+                self.submit(message).add_done_callback(outbox.answer)
         except (ConnectionResetError, BrokenPipeError):
             pass
         finally:
-            self._connections.discard(writer)
-            for task in tasks:
-                task.cancel()
+            self._connections.discard(outbox)
+            outbox.flush()
             try:
                 writer.close()
                 await writer.wait_closed()
             except (ConnectionResetError, BrokenPipeError, OSError):
                 pass
-
-    async def _reply_when_done(self, writer, lock, future) -> None:
-        try:
-            response = await future
-        except asyncio.CancelledError:
-            return
-        try:
-            await self._write(writer, lock, response)
-        except (ConnectionResetError, BrokenPipeError, OSError):
-            pass
-
-    async def _write(self, writer, lock, response: dict) -> None:
-        async with lock:
-            writer.write(encode_message(response))
-            await writer.drain()
 
     # -- admission / submission ----------------------------------------
 
@@ -527,6 +552,7 @@ class DetectionService:
             record.held.append(queued)
         else:
             self._queue.append(queued)
+            self._arm_tick()
         return future
 
     def _submit_attach(self, message: dict,
@@ -582,33 +608,55 @@ class DetectionService:
         record = _TenantRecord(tenant_id, handle.shard_id, envelope)
         record.attach_idem = message.get("idem")
         self.tenants[tenant_id] = record
+        handle.tenants += 1
         self._g_tenants.set(len(self.tenants))
         self._c_requests.inc()
         record.outstanding += 1
         self._queued_ops += 1
         queued = _QueuedOp(message, future, time.monotonic())
         self._queue.append(queued)
+        self._arm_tick()
         return future
 
     def _least_loaded_shard(self) -> Optional[ShardHandle]:
         alive = [handle for handle in self.shards if handle.alive]
         if not alive:
             return None
-        return min(alive, key=lambda handle: (handle.tenant_count(),
+        return min(alive, key=lambda handle: (handle.tenants,
                                               handle.shard_id))
 
-    # -- the tick loop -------------------------------------------------
+    def _place(self, record: _TenantRecord, shard_id: int) -> None:
+        """Move a tenant record onto ``shard_id`` (keeps the counts)."""
+        self.shards[record.shard_id].tenants -= 1
+        self.shards[shard_id].tenants += 1
+        record.shard_id = shard_id
 
-    async def _tick_loop(self) -> None:
-        while True:
-            await asyncio.sleep(self.config.tick_interval)
-            for handle in self.shards:
-                handle.check_hang()
-            if self._queue:
-                self._run_tick()
+    def _drop(self, record: _TenantRecord) -> None:
+        """Remove a tenant record from the table (keeps the counts)."""
+        if self.tenants.get(record.tenant_id) is record:
+            del self.tenants[record.tenant_id]
+            self.shards[record.shard_id].tenants -= 1
+            self._g_tenants.set(len(self.tenants))
+
+    # -- the tick ------------------------------------------------------
+
+    def _arm_tick(self) -> None:
+        """Schedule the tick for the op just queued, unless one is."""
+        if self._tick_handle is None:
+            self._tick_handle = asyncio.get_running_loop().call_later(
+                self.config.tick_interval, self._run_tick)
+
+    def _check_hangs(self) -> None:
+        self._hang_timer = asyncio.get_running_loop().call_later(
+            _HANG_CHECK_INTERVAL, self._check_hangs)
+        for handle in self.shards:
+            handle.check_hang()
 
     def _run_tick(self) -> None:
         """Drain the queue into one command stream per shard."""
+        if self._tick_handle is not None:
+            self._tick_handle.cancel()
+            self._tick_handle = None
         queue, self._queue = self._queue, []
         streams: dict[int, list] = {}
         now = time.monotonic()
@@ -644,13 +692,13 @@ class DetectionService:
                     self._c_batches.inc()
                     self._h_batch.observe(len(ops))
                     future = handle.request("batch", ops, context=batch)
-                    asyncio.ensure_future(
-                        self._finish_batch(batch, future))
+                    future.add_done_callback(
+                        functools.partial(self._finish_batch, batch))
                 else:
                     future = handle.request(command, payload,
                                             context=batch)
-                    asyncio.ensure_future(
-                        self._finish_attach(batch[0], future))
+                    future.add_done_callback(
+                        functools.partial(self._finish_attach, batch[0]))
 
     def _shard(self, shard_id: int) -> ShardHandle:
         return self.shards[shard_id]
@@ -666,24 +714,22 @@ class DetectionService:
             # time; drop it exactly like a failed attach would.
             record = self.tenants.get(message["tenant"])
             if record is not None and record.attach_response is None:
-                self.tenants.pop(record.tenant_id, None)
-                self._g_tenants.set(len(self.tenants))
+                self._drop(record)
         self._settle(queued, error_response(
             message, "deadline-exceeded",
             f"not dispatched within {message.get('deadline_ms')}ms"))
 
-    async def _finish_attach(self, queued: _QueuedOp, future) -> None:
+    def _finish_attach(self, queued: _QueuedOp, future) -> None:
         record = self.tenants.get(queued.message["tenant"])
         try:
-            kind, reply = await future
+            kind, reply = future.result()
         except _ShardLost:
             # Recovery re-restores from the snapshot; the attach op is
             # requeued by _on_shard_dead, nothing to do here.
             return
         if kind != "ok":
             if record is not None:
-                self.tenants.pop(record.tenant_id, None)
-                self._g_tenants.set(len(self.tenants))
+                self._drop(record)
             self._c_errors.inc()
             self._settle(queued, error_response(
                 queued.message, "internal", str(reply)))
@@ -698,9 +744,9 @@ class DetectionService:
             record.attach_response = dict(payload)
         self._settle(queued, ok_response(queued.message, **payload))
 
-    async def _finish_batch(self, batch: list, future) -> None:
+    def _finish_batch(self, batch: list, future) -> None:
         try:
-            kind, replies = await future
+            kind, replies = future.result()
         except _ShardLost:
             return                     # recovery requeues the batch
         if kind != "results":
@@ -748,8 +794,7 @@ class DetectionService:
                     self._h_verdict.observe(
                         (time.monotonic() - queued.enqueued) * 1e6)
                 elif op == "detach" and record is not None:
-                    self.tenants.pop(record.tenant_id, None)
-                    self._g_tenants.set(len(self.tenants))
+                    self._drop(record)
             else:
                 self._c_errors.inc()
             self._settle(queued, response)
@@ -813,7 +858,7 @@ class DetectionService:
                         queued.message, "shard-lost",
                         "no shard alive to recover onto"))
                 return
-            record.shard_id = target.shard_id
+            self._place(record, target.shard_id)
             self._c_rebalanced.inc()
             target.request("restore", record.snapshot)
             if record.journal:
@@ -821,6 +866,8 @@ class DetectionService:
                 self._c_replayed.inc(len(replay))
                 target.request("batch", replay)
         self._queue[:0] = requeue
+        if self._queue:
+            self._arm_tick()
 
     # -- migration -----------------------------------------------------
 
@@ -843,7 +890,7 @@ class DetectionService:
             # the caller can verify state regardless of which attempt
             # actually moved the tenant.
             while record.inflight:
-                await asyncio.sleep(self.config.tick_interval)
+                await asyncio.sleep(_QUIESCE_POLL)
             kind, envelope = await target.request("snapshot", tenant_id)
             if kind != "snapshot":
                 raise ServiceOpError("internal",
@@ -865,7 +912,7 @@ class DetectionService:
                                if queued.message["tenant"] != tenant_id]
                 record.held.extend(still_queued)
             while record.inflight:
-                await asyncio.sleep(self.config.tick_interval)
+                await asyncio.sleep(_QUIESCE_POLL)
             source = self._shard(record.shard_id)
             kind, envelope = await source.request("snapshot", tenant_id)
             if kind != "snapshot":
@@ -885,7 +932,7 @@ class DetectionService:
             record.snapshot = envelope
             record.journal = []
             source_shard = record.shard_id
-            record.shard_id = target_shard
+            self._place(record, target_shard)
             self._c_migrations.inc()
             if self.obs.flight.enabled:
                 self.obs.flight.mark(
@@ -903,6 +950,7 @@ class DetectionService:
             if record.held:
                 self._queue.extend(record.held)
                 record.held = []
+                self._arm_tick()
 
     async def rebalance(self) -> dict:
         """Even tenant counts across live shards via live migrations."""
@@ -911,9 +959,9 @@ class DetectionService:
             alive = [handle for handle in self.shards if handle.alive]
             if len(alive) < 2:
                 break
-            counts = sorted(alive, key=lambda h: h.tenant_count())
+            counts = sorted(alive, key=lambda h: h.tenants)
             emptiest, fullest = counts[0], counts[-1]
-            if fullest.tenant_count() - emptiest.tenant_count() <= 1:
+            if fullest.tenants - emptiest.tenants <= 1:
                 break
             tenant_id = next(
                 record.tenant_id for record in self.tenants.values()
@@ -938,7 +986,7 @@ class DetectionService:
                     entry = {"shard": handle.shard_id,
                              "alive": handle.alive,
                              "pid": handle.pid,
-                             "tenants": handle.tenant_count()}
+                             "tenants": handle.tenants}
                     if handle.alive:
                         # Surface the shard core's reduction tallies
                         # (dirty/skipped detects) so soaks can
@@ -986,7 +1034,7 @@ class DetectionService:
             "pending": self._queued_ops,
             "shards": [{"shard": handle.shard_id,
                         "alive": handle.alive,
-                        "tenants": handle.tenant_count()}
+                        "tenants": handle.tenants}
                        for handle in self.shards],
             "requests": self._c_requests.value,
             "granted": self._c_granted.value,

@@ -432,3 +432,239 @@ def test_refresh_racing_a_batch_leaves_no_applied_op_in_journal():
         finally:
             await service.stop()
     _run(scenario())
+
+
+def test_default_window_settles_an_op_within_a_few_loop_hops():
+    """The default zero window dispatches a queued op on the next loop
+    iteration: a claim is answered without any timer wait."""
+    async def scenario():
+        service = DetectionService(ServiceConfig(shards=1))
+        await service.start()
+        try:
+            await service.submit({"op": "attach", "tenant": "t0",
+                                  "m": 2, "n": 2})
+            claim = service.submit({"op": "claim", "tenant": "t0",
+                                    "process": "p1", "resource": "q1"})
+            for _ in range(5):
+                if claim.done():
+                    break
+                await asyncio.sleep(0)
+            assert claim.done()
+            assert claim.result()["granted"] is True
+        finally:
+            await service.stop()
+    _run(scenario())
+
+
+def _mixed_ops(count, tenants):
+    """Claims, releases and detects over ``tenants`` 4x4 tenants, plus a
+    line the server must refuse; every op carries its index as ``id``."""
+    lines = []
+    held = set()
+    for index in range(count):
+        tenant = f"t{index % tenants}"
+        cell = (tenant, f"p{index % 3 + 1}", f"q{index % 4 + 1}")
+        if index % 5 == 4:
+            message = {"op": "detect", "tenant": tenant}
+        elif cell in held:
+            held.discard(cell)
+            message = {"op": "release", "tenant": tenant,
+                       "process": cell[1], "resource": cell[2]}
+        else:
+            held.add(cell)
+            message = {"op": "claim", "tenant": tenant,
+                       "process": cell[1], "resource": cell[2]}
+        if index == count // 2:
+            message = {"op": "no-such-op", "tenant": tenant}
+        message["id"] = index
+        lines.append(encode_message(message))
+    return lines
+
+
+async def _raw_attach(host, port, tenants):
+    reader, writer = await asyncio.open_connection(host, port)
+    for index in range(tenants):
+        writer.write(encode_message({"op": "attach", "tenant": f"t{index}",
+                                     "m": 4, "n": 4, "id": index}))
+    for _ in range(tenants):
+        assert decode_line(await asyncio.wait_for(reader.readline(),
+                                                  5.0))["ok"]
+    writer.close()
+    await writer.wait_closed()
+
+
+def test_client_closing_with_answers_pending_leaves_no_loop_errors():
+    """A client that pipelines 200 ops and closes before reading costs
+    the server nothing but the dropped answers: no loop error, and the
+    next client is served."""
+    async def scenario():
+        errors = []
+        asyncio.get_running_loop().set_exception_handler(
+            lambda _loop, context: errors.append(context))
+        service = DetectionService(ServiceConfig(shards=2))
+        await service.start(host="127.0.0.1", port=0)
+        try:
+            await _raw_attach("127.0.0.1", service.tcp_port, 4)
+            _reader, writer = await asyncio.open_connection(
+                "127.0.0.1", service.tcp_port)
+            writer.write(b"".join(_mixed_ops(200, 4)))
+            await writer.drain()
+            writer.close()
+            await writer.wait_closed()
+            await asyncio.sleep(0.05)
+            client = await ServiceClient.connect_tcp("127.0.0.1",
+                                                     service.tcp_port)
+            try:
+                reply = await asyncio.wait_for(
+                    client.attach("fresh", m=2, n=2), 5.0)
+                assert reply["attached"] is True
+            finally:
+                await client.close()
+        finally:
+            await service.stop()
+        assert errors == []
+    _run(scenario())
+
+
+def test_pipelined_burst_gets_every_answer_once():
+    """500 ops written in one burst on one connection: 500 answers,
+    one per request."""
+    async def scenario():
+        service = DetectionService(ServiceConfig(shards=2))
+        await service.start(host="127.0.0.1", port=0)
+        try:
+            await _raw_attach("127.0.0.1", service.tcp_port, 8)
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", service.tcp_port)
+            writer.write(b"".join(_mixed_ops(500, 8)))
+            await writer.drain()
+            answers = [decode_line(await asyncio.wait_for(
+                reader.readline(), 5.0)) for _ in range(500)]
+            # The refused line is answered without an id (see
+            # _mixed_ops); every other op once, under its own id.
+            assert sorted(answer["id"] for answer in answers
+                          if "id" in answer) == \
+                [index for index in range(500) if index != 250]
+            assert [answer["error"] for answer in answers
+                    if "id" not in answer] == ["bad-request"]
+            writer.close()
+            await writer.wait_closed()
+        finally:
+            await service.stop()
+    _run(scenario())
+
+
+def test_hung_worker_is_killed_and_its_ops_answered():
+    """A SIGSTOPped worker leaves its batch unanswered past
+    ``shard_timeout``; the hang check kills it, and its tenants' ops are
+    answered after recovery exactly as the local oracle answers them."""
+    from repro.service.tenant import Tenant
+
+    claims = [("p1", "q1"), ("p2", "q1"), ("p2", "q2"), ("p1", "q2")]
+    twin = Tenant.from_attach("t0", {"m": 4, "n": 4})
+
+    async def scenario():
+        service, client = await _started(ServiceConfig(
+            shards=2, use_processes=True, shard_timeout=0.5))
+        victim = None
+        try:
+            await client.attach("t0", m=4, n=4)
+            await client.attach("t1", m=4, n=4)
+            victim = service.shards[service.tenants["t0"].shard_id]
+            os.kill(victim.pid, signal.SIGSTOP)
+            pending = [asyncio.ensure_future(client.claim("t0", p, q))
+                       for p, q in claims]
+            pending.append(asyncio.ensure_future(client.detect("t0")))
+            replies = await asyncio.wait_for(asyncio.gather(*pending),
+                                             10.0)
+            for (process, resource), reply in zip(claims, replies):
+                expected = twin.claim({"process": process,
+                                       "resource": resource})
+                assert {key: reply[key] for key in expected} == expected
+            assert replies[-1]["deadlock"] is True
+            assert replies[-1]["op_seq"] == twin.op_seq == 4
+            assert sorted(replies[-1]["deadlocked_processes"]) == \
+                ["p1", "p2"]
+            assert (await client.stats())["shard_crashes"] == 1
+            victim.process.join(timeout=5.0)
+            assert victim.process.exitcode == -signal.SIGKILL
+        finally:
+            if victim is not None and victim.process.is_alive():
+                victim.process.kill()
+            await _stop(service, client)
+    _run(scenario())
+
+
+def test_per_shard_tenant_counts_match_a_recount():
+    """The per-shard tenant counts follow attach, shed attach, detach,
+    migration and shard-loss recovery."""
+    from collections import Counter
+
+    def assert_counts(service):
+        recount = Counter(record.shard_id
+                          for record in service.tenants.values())
+        assert [handle.tenants for handle in service.shards] == \
+            [recount[handle.shard_id] for handle in service.shards]
+
+    async def scenario():
+        service, client = await _started(ServiceConfig(
+            shards=3, use_processes=False, tick_interval=0.005))
+        try:
+            for index in range(7):
+                await client.attach(f"t{index}", m=2, n=2)
+            assert_counts(service)
+            shed = service.submit({"op": "attach", "tenant": "late",
+                                   "m": 2, "n": 2, "deadline_ms": 1})
+            assert_counts(service)
+            assert (await shed)["error"] == "deadline-exceeded"
+            assert "late" not in service.tenants
+            assert_counts(service)
+            await client.detach("t0")
+            assert_counts(service)
+            record = service.tenants["t1"]
+            await client.migrate("t1", (record.shard_id + 1) % 3)
+            assert_counts(service)
+            service.shards[service.tenants["t2"].shard_id].crash()
+            await client.detect("t2")
+            assert_counts(service)
+            assert sum(handle.tenants for handle in service.shards
+                       if handle.alive) == 6
+        finally:
+            await _stop(service, client)
+    _run(scenario())
+
+
+def test_stop_flushes_the_answers_of_held_ops():
+    """Ops held by an hour-long window are answered by ``stop()``'s
+    final tick, and reach the client as whole lines before it closes
+    the connection."""
+    async def scenario():
+        service = DetectionService(ServiceConfig(
+            shards=1, use_processes=False, tick_interval=3600.0))
+        await service.start(host="127.0.0.1", port=0)
+        attach = service.submit({"op": "attach", "tenant": "t0",
+                                 "m": 2, "n": 2})
+        service._run_tick()
+        assert (await attach)["ok"]
+        reader, writer = await asyncio.open_connection(
+            "127.0.0.1", service.tcp_port)
+        try:
+            writer.write(b"".join(encode_message(
+                {"op": "detect", "tenant": "t0", "id": index})
+                for index in range(3)))
+            await writer.drain()
+            for _ in range(1000):
+                if service.stats()["pending"] == 3:
+                    break
+                await asyncio.sleep(0.001)
+            assert service.stats()["pending"] == 3
+            await service.stop()
+            lines = [await asyncio.wait_for(reader.readline(), 5.0)
+                     for _ in range(4)]
+            assert lines[3] == b""
+            answers = [decode_line(line) for line in lines[:3]]
+            assert sorted(answer["id"] for answer in answers) == [0, 1, 2]
+            assert all(answer["ok"] for answer in answers)
+        finally:
+            writer.close()
+    _run(scenario())
