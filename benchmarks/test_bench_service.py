@@ -172,8 +172,8 @@ def test_bench_resilient_client_overhead(benchmark):
     """Fault-free wire: the retry machinery must cost < 5%.
 
     One sequential stream: every request pays the wrapper's per-call
-    work (the timeout context, deadline/idem stamping, breaker
-    bookkeeping — 30-40us on a 2-vCPU host, half of it the timeout)
+    work (deadline/idem stamping and breaker bookkeeping; the timeout
+    is the connection's one deadline timer, not a per-request context)
     against a full round-trip through the server's 1 ms batching window
     (``tick_interval=0.001``, ~1.3 ms), which is the overhead a caller
     actually observes.  Concurrent streams

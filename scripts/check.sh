@@ -7,8 +7,8 @@
 # Set CHECK_BENCH=1 to also run the benchmark guards (observability
 # overhead + fault-hook overhead + matrix-kernel throughput +
 # checkpoint overhead + flight-recorder idle overhead + service
-# batched-reduction throughput + SoCDMMU pressure guards — what CI's
-# benchmark job does).
+# throughput floor, resilience tax and chaos retry profile + SoCDMMU
+# pressure guards — what CI's benchmark job does).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -37,7 +37,7 @@ if [[ "${CHECK_BENCH:-0}" == "1" ]]; then
     PYTHONPATH=src python -m pytest -q benchmarks/test_bench_checkpoint.py
     echo "== flight-recorder idle overhead guard =="
     PYTHONPATH=src python -m pytest -q benchmarks/test_bench_flight_overhead.py
-    echo "== service batched-reduction guard =="
+    echo "== service guard (throughput floor, <5% resilience tax, chaos retry profile) =="
     PYTHONPATH=src python -m pytest -q benchmarks/test_bench_service.py
     echo "== socdmmu pressure guard =="
     PYTHONPATH=src python -m pytest -q benchmarks/test_bench_socdmmu_pressure.py

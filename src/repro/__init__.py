@@ -18,29 +18,25 @@ See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-versus-measured record of every table and figure.
 """
 
-from repro.errors import (
-    AllocationError,
-    ConfigurationError,
-    DeadlockError,
-    GenerationError,
-    ReproError,
-    ResourceProtocolError,
-    RTOSError,
-    SimulationError,
-)
-from repro.rag import RAG, BitMatrix, StateMatrix
-from repro.deadlock import (
-    DAU,
-    DDU,
-    Decision,
-    SoftwareDAA,
-    dau_synthesis,
-    ddu_synthesis,
-    pdda_detect,
-)
-from repro.mpsoc import MPSoC, SoCConfig
-from repro.rtos import Kernel, TaskContext
-from repro.framework import RTOS_PRESETS, SystemConfig, build_system
+from importlib import import_module
+
+#: Where each top-level name lives.  The names resolve on first access
+#: (PEP 562), so ``import repro.service`` pulls in neither the simulator
+#: nor the RTOS, the framework or the SoCDMMU.
+_EXPORTS = {
+    "repro.errors": ("AllocationError", "ConfigurationError",
+                     "DeadlockError", "GenerationError", "ReproError",
+                     "ResourceProtocolError", "RTOSError",
+                     "SimulationError"),
+    "repro.rag": ("RAG", "BitMatrix", "StateMatrix"),
+    "repro.deadlock": ("DAU", "DDU", "Decision", "SoftwareDAA",
+                       "dau_synthesis", "ddu_synthesis", "pdda_detect"),
+    "repro.mpsoc": ("MPSoC", "SoCConfig"),
+    "repro.rtos": ("Kernel", "TaskContext"),
+    "repro.framework": ("RTOS_PRESETS", "SystemConfig", "build_system"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items()
+              for name in names}
 
 __version__ = "1.0.0"
 
@@ -72,3 +68,12 @@ __all__ = [
     "GenerationError",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(module), name)
+    globals()[name] = value
+    return value

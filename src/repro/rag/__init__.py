@@ -44,6 +44,7 @@ from repro.rag.generate import (
     chain_state,
     cycle_state,
     deadlock_free_state,
+    random_bitmatrix,
     random_multiunit_state,
     random_state,
     resolve_rng,
@@ -81,6 +82,7 @@ __all__ = [
     "DEFAULT_SEED",
     "resolve_rng",
     "random_state",
+    "random_bitmatrix",
     "random_multiunit_state",
     "cycle_state",
     "chain_state",

@@ -362,6 +362,14 @@ class BitMatrix:
     def column(self, t: int) -> tuple[CellState, ...]:
         return tuple(self.get(s, t) for s in range(self.m))
 
+    def nonempty_columns(self) -> list[int]:
+        """Columns holding any edge, lowest first: the set bits of every
+        row's ``r | g`` OR-ed together (m word ORs, not n column reads)."""
+        columns = 0
+        for requests, grants in zip(self._row_r, self._row_g):
+            columns |= requests | grants
+        return _set_bits(columns)
+
     @property
     def edge_count(self) -> int:
         return self._edges

@@ -2,7 +2,10 @@
 
 All generators return :class:`~repro.rag.graph.RAG` instances obeying
 the single-unit protocol, so every produced state is reachable by some
-legal request/grant sequence.
+legal request/grant sequence.  :func:`random_bitmatrix` draws the same
+random states as :func:`random_state` straight into a
+:class:`~repro.rag.bitmatrix.BitMatrix`, for callers (the service's
+seeded attach) that never need the graph.
 
 Seeding contract
 ----------------
@@ -29,6 +32,7 @@ import random
 from typing import Mapping, Optional
 
 from repro.errors import ConfigurationError
+from repro.rag.bitmatrix import BitMatrix
 from repro.rag.graph import RAG
 from repro.rag.multiunit import MultiUnitSystem
 
@@ -70,19 +74,59 @@ def random_state(num_resources: int, num_processes: int,
     ``request_fraction`` of the remaining (process, resource) pairs get a
     request edge.  Both deadlocked and deadlock-free states occur.
     Seeding follows the module contract (``rng`` > ``seed`` > default).
+    The state is :func:`random_bitmatrix`'s, mapped back to a graph.
     """
+    return random_bitmatrix(num_resources, num_processes, grant_fraction,
+                            request_fraction, rng=rng, seed=seed).to_rag()
+
+
+#: A request draw (``0``/``1`` byte) as its binary digit.
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def random_bitmatrix(num_resources: int, num_processes: int,
+                     grant_fraction: float = 0.6,
+                     request_fraction: float = 0.3,
+                     rng: Optional[random.Random] = None,
+                     seed: Optional[int] = None) -> BitMatrix:
+    """:func:`random_state`'s state, drawn straight into bit planes.
+
+    Consumes exactly the draws of the graph-building loop, in its
+    order: per resource one ``random()`` and, on a grant, a ``choice``
+    of holder; then, processes outer and resources inner, one
+    ``random()`` per cell except a process's own held cells.  The
+    request draws land in one column-major byte string, so the row and
+    column words are parsed from it in C instead of set bit by bit.
+    """
+    processes, resources = _names(num_resources, num_processes)
     rng = resolve_rng(rng, seed)
-    rag = empty_state(num_resources, num_processes)
-    for q in rag.resources:
-        if rng.random() < grant_fraction:
-            rag.grant(q, rng.choice(rag.processes))
-    for p in rag.processes:
-        for q in rag.resources:
-            if rag.holder_of(q) == p:
-                continue
-            if rng.random() < request_fraction:
-                rag.add_request(p, q)
-    return rag
+    m, n = num_resources, num_processes
+    rand = rng.random
+    holders = range(n)
+    # Held cells as column-major indices t * m + s: no draw is made
+    # for them, so a zero is spliced in at each, in ascending order.
+    held = [rng.choice(holders) * m + s for s in range(m)
+            if rand() < grant_fraction]
+    held.sort()
+    cells = bytearray([rand() < request_fraction
+                       for _ in range(m * n - len(held))])
+    for flat in held:
+        cells.insert(flat, 0)
+    # Reversed, every column slice and every stride-m row slice reads
+    # most significant bit first, as ``int(digits, 2)`` wants.
+    digits = cells.translate(_DIGITS)[::-1]
+    matrix = BitMatrix(m, n, resource_names=resources,
+                       process_names=processes)
+    matrix._col_r = [int(digits[lo:lo + m], 2)
+                     for lo in range(0, m * n, m)][::-1]
+    matrix._row_r = [int(digits[lo::m], 2) for lo in range(m)][::-1]
+    row_g, col_g = matrix._row_g, matrix._col_g
+    for flat in held:
+        t, s = divmod(flat, m)
+        row_g[s] = 1 << t
+        col_g[t] |= 1 << s
+    matrix._edges = len(held) + sum(map(int.bit_count, matrix._col_r))
+    return matrix
 
 
 def cycle_state(length: int) -> RAG:

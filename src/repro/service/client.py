@@ -30,6 +30,7 @@ circuit breaker that fails fast while the wire is down.
 from __future__ import annotations
 
 import asyncio
+import math
 import random
 import time
 from dataclasses import dataclass
@@ -45,10 +46,6 @@ from repro.service.protocol import (
     encode_message,
 )
 
-#: ``asyncio.timeout`` (3.11+) or ``None`` — the context manager skips
-#: the per-request wrapper Task that ``wait_for`` costs.
-_ASYNCIO_TIMEOUT = getattr(asyncio, "timeout", None)
-
 
 class ServiceClient:
     """One pipelined connection to a :class:`DetectionService`."""
@@ -61,7 +58,15 @@ class ServiceClient:
         self._writer = writer
         self._raise_errors = raise_errors
         self._next_id = 0
-        self._pending: dict[int, "asyncio.Future"] = {}
+        #: request id -> (future, deadline on the loop clock).
+        self._pending: dict[int, tuple["asyncio.Future", float]] = {}
+        #: Seconds a request may wait for its answer before it fails
+        #: with :class:`asyncio.TimeoutError`; ``None`` waits forever.
+        self.request_timeout_s: Optional[float] = None
+        self._loop = asyncio.get_running_loop()
+        #: One deadline timer for every pending request (see
+        #: :meth:`_expire`).
+        self._timer: Optional[asyncio.TimerHandle] = None
         #: Round-trip seconds per op name, e.g. ``rtt["claim"]``.
         self.rtt: dict[str, list] = {}
         self.obs = obs if obs is not None else NULL_OBS
@@ -102,18 +107,59 @@ class ServiceClient:
                     if self.obs.enabled:
                         self._c_decode_errors.inc()
                     continue
-                future = self._pending.pop(response.get("id"), None)
-                if future is not None and not future.done():
-                    future.set_result(response)
+                entry = self._pending.pop(response.get("id"), None)
+                if entry is not None and not entry[0].done():
+                    entry[0].set_result(response)
         except (ConnectionResetError, BrokenPipeError, ServiceError,
                 asyncio.CancelledError):
             pass
         finally:
+            self._cancel_timer()
             lost = ServiceError("connection to service lost")
-            for future in self._pending.values():
+            for future, _deadline in self._pending.values():
                 if not future.done():
                     future.set_exception(lost)
             self._pending.clear()
+
+    # -- deadlines -----------------------------------------------------
+
+    def _expire(self) -> None:
+        """Fail every request past its deadline; re-arm for the rest.
+
+        The timer is armed for the earliest deadline and is not moved
+        when that request is answered: it fires, finds the answered
+        request gone, and re-arms for the oldest one still pending.
+        With one timeout per client that is one timer event per
+        timeout period, however many requests are in flight.  A
+        connection whose send buffer is still over its high-water mark
+        is stuck, so it is aborted: a request blocked in ``drain`` then
+        fails too instead of waiting for the peer to read.
+        """
+        self._timer = None
+        now = self._loop.time()
+        earliest = math.inf
+        expired = False
+        for request_id, (future, deadline) in list(self._pending.items()):
+            if deadline <= now:
+                del self._pending[request_id]
+                if not future.done():
+                    expired = True
+                    future.set_exception(asyncio.TimeoutError(
+                        f"no answer within {self.request_timeout_s}s"))
+            elif deadline < earliest:
+                earliest = deadline
+        if expired:
+            transport = self._writer.transport
+            if (transport.get_write_buffer_size()
+                    > transport.get_write_buffer_limits()[1]):
+                transport.abort()
+        if earliest < math.inf:
+            self._timer = self._loop.call_at(earliest, self._expire)
+
+    def _cancel_timer(self) -> None:
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
 
     async def request(self, op: str, **fields: Any) -> dict:
         """Send one request; await its matched response."""
@@ -122,20 +168,31 @@ class ServiceClient:
         self._next_id += 1
         request_id = self._next_id
         message = {"op": op, "id": request_id, **fields}
-        future = asyncio.get_running_loop().create_future()
-        self._pending[request_id] = future
-        loop = asyncio.get_running_loop()
+        loop = self._loop
+        future = loop.create_future()
         started = loop.time()
+        timeout = self.request_timeout_s
+        if timeout is None:
+            deadline = math.inf
+        else:
+            deadline = started + timeout
+            timer = self._timer
+            if timer is None or deadline < timer.when():
+                if timer is not None:
+                    timer.cancel()
+                self._timer = loop.call_at(deadline, self._expire)
+        self._pending[request_id] = (future, deadline)
         try:
             self._writer.write(encode_message(message))
             await self._writer.drain()
         except (ConnectionResetError, BrokenPipeError, OSError) as exc:
-            # The send failed: pop our entry and fail the future so the
-            # reader loop can never resolve a dead id later.
+            # The send failed: pop our entry so the reader loop can
+            # never resolve a dead id later.
             self._pending.pop(request_id, None)
-            if not future.done():
-                future.set_exception(ServiceError(
-                    f"send failed: {exc}"))
+            if future.done() and isinstance(future.exception(),
+                                            asyncio.TimeoutError):
+                # The deadline passed while the write was blocked.
+                raise future.exception() from exc
             raise ServiceError(
                 f"connection to service lost: {exc}") from exc
         response = await future
@@ -189,6 +246,7 @@ class ServiceClient:
     # -- lifecycle -----------------------------------------------------
 
     async def close(self) -> None:
+        self._cancel_timer()
         self._reader_task.cancel()
         try:
             await self._reader_task
@@ -334,6 +392,8 @@ class ResilientServiceClient:
                 self._client = None
                 await client.close()
             client = await self._factory()
+            # The connection's one deadline timer bounds every attempt.
+            client.request_timeout_s = self.policy.request_timeout_s
             self._client = client
             self._connects += 1
             if self._connects > 1:
@@ -416,17 +476,7 @@ class ResilientServiceClient:
             try:
                 if client is None or client._reader_task.done():
                     client = await self._ensure_connected()
-                if _ASYNCIO_TIMEOUT is not None:
-                    # 3.11+: a timeout context, no wrapper Task per
-                    # request — the difference between ~6% and ~2%
-                    # overhead on a fault-free wire.
-                    async with _ASYNCIO_TIMEOUT(
-                            policy.request_timeout_s):
-                        response = await client.request(op, **fields)
-                else:
-                    response = await asyncio.wait_for(
-                        client.request(op, **fields),
-                        policy.request_timeout_s)
+                response = await client.request(op, **fields)
             except ServiceOpError as exc:
                 # The server answered: the wire is healthy.
                 self._clean("server answered")

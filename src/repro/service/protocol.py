@@ -13,7 +13,7 @@ op         fields
 =========  ============================================================
 attach     ``m``/``n`` dims, or ``rows`` (text rows), or ``seed`` (+
            optional ``grant_fraction``/``request_fraction``) for a
-           server-side :func:`~repro.rag.generate.random_state`
+           server-side :func:`~repro.rag.generate.random_bitmatrix`
 claim      ``process``, ``resource`` — grant if free, else queue the
            request edge (response: ``granted``/``blocked``)
 release    ``process``, ``resource`` — free the grant; the

@@ -46,11 +46,13 @@ class _CachedVerdict:
 
     ``tenant`` is kept for an *identity* check: restore/migration
     replaces the Tenant object, so a stale cache entry can never match
-    a rebuilt tenant even if the op_seq coincides.
+    a rebuilt tenant even if the op_seq coincides.  ``deadlocked``
+    names the processes left in the residual, lowest column first,
+    computed once per reduction rather than once per detect.
     """
 
     __slots__ = ("tenant", "op_seq", "deadlock", "iterations", "passes",
-                 "residual", "batched")
+                 "deadlocked", "batched")
 
     def __init__(self, tenant: Tenant, deadlock: bool, iterations: int,
                  passes: int, residual: BitMatrix, batched: int) -> None:
@@ -59,7 +61,8 @@ class _CachedVerdict:
         self.deadlock = deadlock
         self.iterations = iterations
         self.passes = passes
-        self.residual = residual
+        names = residual.process_names
+        self.deadlocked = [names[t] for t in residual.nonempty_columns()]
         self.batched = batched
 
     def valid_for(self, tenant: Tenant) -> bool:
@@ -193,7 +196,7 @@ class ShardCore:
             cached = self._verdicts[tid]
             payload = tenant.detect_payload(
                 cached.deadlock, cached.iterations, cached.passes,
-                cached.residual, batched=cached.batched)
+                cached.deadlocked, batched=cached.batched)
             for index in detect_slots[tid]:
                 responses[index] = ok_response(ops[index], **payload)
 

@@ -40,7 +40,7 @@ from typing import Any, Mapping, Optional
 from repro.checkpoint.protocol import open_envelope, snapshot_envelope
 from repro.errors import ResourceProtocolError
 from repro.rag.bitmatrix import BitMatrix
-from repro.rag.generate import random_state, resolve_rng
+from repro.rag.generate import random_bitmatrix
 from repro.rag.matrix import CellState
 from repro.service.protocol import ServiceOpError
 
@@ -92,12 +92,11 @@ def _matrix_from_spec(spec: Mapping[str, Any]) -> BitMatrix:
             f"tenant dims {m}x{n} outside 1..{MAX_TENANT_SIDE}")
     if spec.get("seed") is None:
         return BitMatrix(m, n)
-    rag = random_state(
+    return random_bitmatrix(
         m, n,
         grant_fraction=float(spec.get("grant_fraction", 0.6)),
         request_fraction=float(spec.get("request_fraction", 0.3)),
-        rng=resolve_rng(seed=int(spec["seed"])))
-    return BitMatrix.from_rag(rag)
+        seed=int(spec["seed"]))
 
 
 class Tenant:
@@ -227,14 +226,12 @@ class Tenant:
         return response
 
     def detect_payload(self, deadlock: bool, iterations: int,
-                       passes: int, residual: BitMatrix,
+                       passes: int, deadlocked: list,
                        batched: int) -> dict:
         """Assemble a detect response from a (batched) reduction."""
         self.detects += 1
-        processes = [residual.process_names[t] for t in range(residual.n)
-                     if residual.column_bwo(t) != (0, 0)]
         return {"deadlock": deadlock, "iterations": iterations,
-                "passes": passes, "deadlocked_processes": processes,
+                "passes": passes, "deadlocked_processes": list(deadlocked),
                 "op_seq": self.op_seq, "batched": batched}
 
     # -- checkpoint protocol -------------------------------------------

@@ -129,6 +129,10 @@ class TestStateAgreement:
         assert fast.residual == ref.residual
         assert (sorted(fast.deadlocked_processes())
                 == sorted(ref.deadlocked_processes()))
+        residual = fast.residual
+        assert ([residual.process_names[t]
+                 for t in residual.nonempty_columns()]
+                == ref.deadlocked_processes())
         assert (sorted(fast.deadlocked_resources())
                 == sorted(ref.deadlocked_resources()))
 

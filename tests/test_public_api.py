@@ -1,6 +1,10 @@
 """Smoke tests on the public import surface."""
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -53,3 +57,35 @@ def test_every_exported_item_is_documented(module):
         obj = getattr(package, name)
         if isinstance(obj, type) or callable(obj):
             assert obj.__doc__, f"{module}.{name} lacks a docstring"
+
+
+#: What the detection server never needs: the simulator, the RTOS, the
+#: framework and the SoCDMMU.
+SIMULATOR_PACKAGES = ("repro.framework", "repro.mpsoc", "repro.rtos",
+                      "repro.socdmmu")
+
+
+def test_service_entry_point_skips_the_simulator():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    probe = ("import sys, repro.service.__main__; "
+             f"print(sorted(set({SIMULATOR_PACKAGES!r}) & set(sys.modules)))")
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"
+
+
+def test_lazy_top_level_names_resolve():
+    from repro import DDU, BitMatrix, build_system
+    assert callable(build_system)
+    assert DDU.__name__ == "DDU"
+    assert BitMatrix.__name__ == "BitMatrix"
+    for name in repro.__all__:
+        assert getattr(repro, name) is not None, name
+
+
+def test_unknown_top_level_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        repro.no_such_name
+    assert not hasattr(repro, "no_such_name")

@@ -308,6 +308,110 @@ def test_reader_skips_undecodable_response_lines():
     _run(scenario())
 
 
+# -- the client's deadline timer -----------------------------------------------
+
+async def _silent_server(read: bool):
+    """A server that never answers; with ``read=False`` it never reads."""
+    async def handler(reader, writer):
+        while read and await reader.readline():
+            pass
+        if not read:
+            await asyncio.sleep(30)
+
+    server = await asyncio.start_server(handler, "127.0.0.1", 0)
+    return server, server.sockets[0].getsockname()[1]
+
+
+def test_deadline_timer_fails_every_expired_request():
+    """Pipelined requests past their deadline fail with TimeoutError."""
+    async def scenario():
+        server, port = await _silent_server(read=True)
+        client = await ServiceClient.connect_tcp("127.0.0.1", port)
+        client.request_timeout_s = 0.1
+        try:
+            started = time.monotonic()
+            first = asyncio.ensure_future(client.request("ping"))
+            await asyncio.sleep(0.05)
+            second = asyncio.ensure_future(client.request("ping"))
+            with pytest.raises(asyncio.TimeoutError):
+                await asyncio.wait_for(first, 2.0)
+            assert time.monotonic() - started < 1.0
+            # One timer serves both: it re-armed for the later deadline.
+            assert not second.done()
+            assert client._timer is not None
+            with pytest.raises(asyncio.TimeoutError):
+                await asyncio.wait_for(second, 2.0)
+            assert client._pending == {}
+            assert client._timer is None
+        finally:
+            await client.close()
+            server.close()
+            await server.wait_closed()
+    _run(scenario())
+
+
+def test_deadline_timer_is_not_rearmed_per_answer():
+    """Answered requests leave the timer armed for the first deadline."""
+    async def scenario():
+        service = await _service()
+        client = await ServiceClient.connect_tcp(
+            "127.0.0.1", service.tcp_port)
+        client.request_timeout_s = 5.0
+        try:
+            await client.ping()
+            timer = client._timer
+            for _ in range(20):
+                await client.ping()
+            assert client._timer is timer
+            assert client._pending == {}
+        finally:
+            await client.close()
+            await service.stop()
+    _run(scenario())
+
+
+def test_deadline_covers_a_write_blocked_on_a_full_socket():
+    """A peer that stops reading cannot hang a request past its deadline."""
+    async def scenario():
+        server, port = await _silent_server(read=False)
+        client = await ServiceClient.connect_tcp("127.0.0.1", port)
+        client.request_timeout_s = 0.2
+        try:
+            started = time.monotonic()
+            with pytest.raises(asyncio.TimeoutError):
+                # Far more than the kernel buffers hold unread.
+                await asyncio.wait_for(
+                    client.request("ping", pad="x" * 16_000_000), 10.0)
+            # The client's deadline fired, not the test's guard.
+            assert time.monotonic() - started < 5.0
+            assert client._pending == {}
+        finally:
+            await client.close()
+            server.close()
+            await server.wait_closed()
+    _run(scenario())
+
+
+def test_resilient_client_retries_an_unanswered_request():
+    """A silent wire times out each attempt; the retries are bounded."""
+    async def scenario():
+        server, port = await _silent_server(read=True)
+        policy = RetryPolicy(request_timeout_s=0.05, max_attempts=2,
+                             backoff_base_s=0.001, backoff_cap_s=0.002,
+                             fail_threshold=10)
+        client = ResilientServiceClient.tcp("127.0.0.1", port,
+                                            policy=policy, seed=3)
+        try:
+            with pytest.raises(ServiceError, match="after 2 attempts"):
+                await asyncio.wait_for(client.ping(), 5.0)
+            assert client.connects == 2
+        finally:
+            await client.close()
+            server.close()
+            await server.wait_closed()
+    _run(scenario())
+
+
 # -- server-side v2 behaviour --------------------------------------------------
 
 def test_deadline_shedding_refuses_without_applying():
