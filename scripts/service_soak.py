@@ -45,6 +45,7 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
+from repro.campaign.checkers import replay_op             # noqa: E402
 from repro.rag.generate import resolve_rng                 # noqa: E402
 from repro.service import (                                # noqa: E402
     NET_FAULT_KINDS,
@@ -54,7 +55,6 @@ from repro.service import (                                # noqa: E402
     ResilientServiceClient,
     RetryPolicy,
     ServiceClient,
-    ServiceOpError,
 )
 from repro.service.tenant import Tenant                    # noqa: E402
 
@@ -125,10 +125,6 @@ def start_server(shards: int) -> tuple:
     return process, ready
 
 
-class SoakFailure(AssertionError):
-    pass
-
-
 async def drive_tenant(client: ServiceClient, tenant_id: str,
                        seed: int, ops: int, errors: list) -> None:
     """One tenant's stream, oracle-checked response by response."""
@@ -137,47 +133,15 @@ async def drive_tenant(client: ServiceClient, tenant_id: str,
     oracle = Tenant.from_attach(tenant_id, spec)
     rng = resolve_rng(seed=seed ^ 0x5EED)
     for step in range(ops):
-        if step % 4 == 3:
-            reply = await client.detect(tenant_id)
-            solo = oracle.matrix.copy()
-            iterations, passes = solo.reduce()
-            expected = (not solo.is_empty(), iterations, passes,
-                        oracle.op_seq)
-            got = (reply["deadlock"], reply["iterations"],
-                   reply["passes"], reply["op_seq"])
-            if got != expected:
-                errors.append(f"{tenant_id} detect @ {step}: "
-                              f"service {got} != oracle {expected}")
-            continue
-        process = f"p{rng.randrange(1, 13)}"
-        resource = f"q{rng.randrange(1, 13)}"
-        op = {"process": process, "resource": resource}
-        kind = "release" if rng.random() < 0.4 else "claim"
-        try:
-            expected = (oracle.claim(dict(op)) if kind == "claim"
-                        else oracle.release(dict(op)))
-            code = None
-        except ServiceOpError as exc:
-            expected, code = None, exc.code
-        try:
-            reply = (await client.claim(tenant_id, process, resource)
-                     if kind == "claim"
-                     else await client.release(tenant_id, process,
-                                               resource))
-            got_code = None
-        except ServiceOpError as exc:
-            reply, got_code = None, exc.code
-        if got_code != code:
-            errors.append(f"{tenant_id} {kind} @ {step}: error "
-                          f"{got_code} != oracle {code}")
-        elif expected is not None:
-            key = "granted" if kind == "claim" else "promoted"
-            if (reply[key] != expected[key]
-                    or reply["op_seq"] != expected["op_seq"]):
-                errors.append(
-                    f"{tenant_id} {kind} @ {step}: {key} "
-                    f"{reply[key]!r}/{reply['op_seq']} != oracle "
-                    f"{expected[key]!r}/{expected['op_seq']}")
+        kind, process, resource = "detect", None, None
+        if step % 4 != 3:
+            process = f"p{rng.randrange(1, 13)}"
+            resource = f"q{rng.randrange(1, 13)}"
+            kind = "release" if rng.random() < 0.4 else "claim"
+        mismatch = await replay_op(client, oracle, tenant_id, kind,
+                                   process, resource)
+        if mismatch:
+            errors.append(f"step {step}: {mismatch}")
 
 
 async def soak(args: argparse.Namespace, port: int,

@@ -19,8 +19,10 @@ The pieces:
   with per-task timeouts, worker-crash isolation and bounded retry;
 * :mod:`repro.campaign.store` — JSONL results + the run manifest;
 * :mod:`repro.campaign.diff` — regression gating between two manifests;
-* ``python -m repro.campaign`` — the ``run`` / ``replay`` / ``diff``
-  CLI.
+* :mod:`repro.campaign.soak` — SIGKILL a run, resume it, and compare
+  its digest with a clean run's;
+* ``python -m repro.campaign`` — the ``run`` / ``resume`` / ``soak`` /
+  ``replay`` / ``diff`` CLI.
 
 Quick start::
 

@@ -1,4 +1,4 @@
-"""The campaign CLI: run, resume, replay, diff.
+"""The campaign CLI: run, resume, soak, replay, diff.
 
 Usage::
 
@@ -8,6 +8,8 @@ Usage::
     python -m repro.campaign run --spec my_campaign.json \\
         --timeout 30 --baseline runs/claims-a --out runs/claims-b
     python -m repro.campaign resume runs/claims-a         # after a crash
+    python -m repro.campaign soak --builtin faults --seed-root 42 \\
+        --workers 4 --kills 2 --out runs/faults-soak
     python -m repro.campaign replay runs/claims-a pdda-oracle/00017
     python -m repro.campaign diff runs/claims-a runs/claims-b
     python -m repro.campaign list
@@ -16,10 +18,12 @@ Usage::
 killed mid-campaign (even ``kill -9``), ``resume DIR`` skips every
 journaled-complete scenario, restores in-flight checkpoint-aware
 scenarios from their last mid-scenario checkpoint, and produces the
-same result digest as an uninterrupted run.
+same result digest as an uninterrupted run.  ``soak`` proves that: it
+SIGKILLs a run ``--kills`` times, resumes it, and compares its digest
+with a one-worker reference run (see :mod:`repro.campaign.soak`).
 
-Exit codes: 0 clean; 1 scenario failures, replay mismatch, or
-regressions against the baseline; 2 usage errors.
+Exit codes: 0 clean; 1 scenario failures, replay mismatch, a soak
+digest mismatch, or regressions against the baseline; 2 usage errors.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from repro.campaign.diff import diff_manifests
 from repro.campaign.journal import RunJournal, journal_header
 from repro.campaign.presets import BUILTIN_CAMPAIGNS, builtin_campaign
 from repro.campaign.runner import CampaignRunner, replay_scenario
+from repro.campaign.soak import KILL_TRIGGER, soak
 from repro.campaign.spec import CampaignSpec
 from repro.campaign.store import load_manifest, results_digest, write_run
 from repro.errors import ReproError
@@ -137,6 +142,31 @@ def _cmd_resume(args: argparse.Namespace) -> int:
     results_path, manifest_path = write_run(directory, run)
     print(f"wrote {results_path} and {manifest_path}")
     return 1 if run.failures else 0
+
+
+def _cmd_soak(args: argparse.Namespace) -> int:
+    """Kill and resume a run; gate on its digest matching a clean one."""
+    if args.workers < 1 or args.kills < 0:
+        print("error: --workers must be >= 1 and --kills >= 0",
+              file=sys.stderr)
+        return 2
+    campaign = (["--spec", args.spec] if args.spec
+                else ["--builtin", args.builtin])
+    report = soak(campaign, args.out, seed_root=args.seed_root,
+                  workers=args.workers, kills=args.kills)
+    for number, records in enumerate(report.kills, start=1):
+        print(f"kill #{number} landed with {records} result(s) journaled")
+    if len(report.kills) < args.kills:
+        print(f"kill #{len(report.kills) + 1} missed: the run finished "
+              f"within {KILL_TRIGGER} result(s)")
+    print(f"clean   digest {report.clean_digest}")
+    print(f"resumed digest {report.crashed_digest}")
+    if not report.ok:
+        print("DIGEST MISMATCH: the killed-and-resumed run is not "
+              "equivalent to the clean run", file=sys.stderr)
+        return 1
+    print("kill-and-resume determinism holds")
+    return 0
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
@@ -278,6 +308,26 @@ def main(argv=None) -> int:
                                help="override the journaled worker "
                                     "count (default: as journaled)")
     resume_parser.set_defaults(fn=_cmd_resume)
+
+    soak_parser = sub.add_parser(
+        "soak", help="SIGKILL a run, resume it, and require the digest "
+                     "of a clean one-worker run")
+    which = soak_parser.add_mutually_exclusive_group(required=True)
+    which.add_argument("--builtin", choices=sorted(BUILTIN_CAMPAIGNS))
+    which.add_argument("--spec", metavar="FILE",
+                       help="campaign spec JSON")
+    soak_parser.add_argument("--seed-root", default="0",
+                             help="seed root of both runs (default: 0)")
+    soak_parser.add_argument("--workers", type=int, default=4,
+                             help="workers of the killed run "
+                                  "(default: 4)")
+    soak_parser.add_argument("--kills", type=int, default=2,
+                             help="SIGKILLs before the final resume; 0 "
+                                  "only compares worker counts "
+                                  "(default: 2)")
+    soak_parser.add_argument("--out", metavar="DIR", required=True,
+                             help="writes DIR/clean and DIR/crashed")
+    soak_parser.set_defaults(fn=_cmd_soak)
 
     replay_parser = sub.add_parser(
         "replay", help="re-execute one scenario from a manifest")

@@ -454,6 +454,116 @@ def _gen_service_population(params: Mapping[str, Any],
         for i in range(tenants))
 
 
+async def replay_op(client, oracle, tenant: str, kind: str,
+                    process: str | None = None,
+                    resource: str | None = None) -> str | None:
+    """Send one tenant op and check the reply against the local oracle.
+
+    ``oracle`` is the tenant's local :class:`~repro.service.tenant.Tenant`
+    twin.  A ``claim`` or ``release`` is applied to it before the request
+    goes out, so it tracks the mutation prefix the service accepted: the
+    reply must fail with the same error code, or else agree on
+    ``granted`` (claim) or ``promoted`` (release), then on ``op_seq``.
+    A ``detect`` reply must agree with a solo :meth:`BitMatrix.reduce`
+    of the twin's matrix on the verdict, the iteration and pass counts
+    and ``op_seq``.  ``client`` is anything with an awaitable
+    ``request(op, **fields)`` — a ``ServiceClient`` or a
+    ``ResilientServiceClient``.  Returns a mismatch message, or ``None``
+    when the reply matches.
+    """
+    from repro.service import ServiceOpError
+
+    if kind == "detect":
+        reply = await client.request("detect", tenant=tenant)
+        solo = oracle.matrix.copy()
+        iterations, passes = solo.reduce()
+        expected = (not solo.is_empty(), iterations, passes, oracle.op_seq)
+        got = (reply["deadlock"], reply["iterations"], reply["passes"],
+               reply["op_seq"])
+        return (None if got == expected else
+                f"{tenant} detect: service {got} != oracle {expected}")
+    op = {"process": process, "resource": resource}
+    apply = oracle.claim if kind == "claim" else oracle.release
+    try:
+        expected, expected_code = apply(op), None
+    except ServiceOpError as exc:
+        expected, expected_code = None, exc.code
+    try:
+        got, got_code = await client.request(kind, tenant=tenant, **op), None
+    except ServiceOpError as exc:
+        got, got_code = None, exc.code
+    if got_code != expected_code:
+        return (f"{tenant} {kind}: service error {got_code} != oracle "
+                f"{expected_code}")
+    if expected is not None:
+        for key in ("granted" if kind == "claim" else "promoted", "op_seq"):
+            if got[key] != expected[key]:
+                return (f"{tenant} {kind}: {key} {got[key]!r} != oracle "
+                        f"{expected[key]!r}")
+    return None
+
+
+async def _start_service(params: Mapping[str, Any]):
+    """A real TCP :class:`DetectionService` with in-process shards."""
+    from repro.service import DetectionService, ServiceConfig
+
+    service = DetectionService(ServiceConfig(
+        shards=int(params.get("shards", 2)), use_processes=False,
+        tick_interval=0.001, snapshot_every=8))
+    await service.start(host="127.0.0.1", port=0)
+    return service
+
+
+async def _replay_stream(client, service, population,
+                         params: Mapping[str, Any], events: int,
+                         script_seed: int) -> tuple[dict, int, str | None]:
+    """Attach ``population``, then check a seeded op stream op by op.
+
+    Each of ``events`` steps sends every tenant one op through
+    :func:`replay_op`: a ``detect`` on every fifth step, else a scripted
+    claim (60%) or release (40%).  At the midpoint,
+    ``params["migrate"]`` live-migrates every tenant to the next shard
+    and ``params["crash"]`` kills the first tenant's shard; neither may
+    perturb a single reply.  Returns the oracle twins, the ops checked
+    and the first mismatch (``None`` when every reply matched).
+    """
+    import asyncio
+
+    from repro.service.tenant import Tenant
+
+    shards = int(params.get("shards", 2))
+    oracles: dict = {}
+    for tenant_id, spec in population:
+        await client.attach(tenant_id, **spec)
+        oracles[tenant_id] = Tenant.from_attach(tenant_id, spec)
+    script = random.Random(script_seed)
+    steps = 0
+    for step in range(events):
+        for tenant_id, _spec in population:
+            oracle = oracles[tenant_id]
+            kind, process, resource = "detect", None, None
+            if not (step and step % 5 == 0):
+                process = f"p{script.randrange(1, oracle.matrix.n + 1)}"
+                resource = f"q{script.randrange(1, oracle.matrix.m + 1)}"
+                kind = "release" if script.random() < 0.4 else "claim"
+            mismatch = await replay_op(client, oracle, tenant_id, kind,
+                                       process, resource)
+            steps += 1
+            if mismatch:
+                return oracles, steps, f"step {step}: {mismatch}"
+        if step != events // 2:
+            continue
+        if params.get("migrate"):
+            for tenant_id, _spec in population:
+                record = service.tenants[tenant_id]
+                await client.request("migrate", tenant=tenant_id,
+                                     shard=(record.shard_id + 1) % shards)
+        if params.get("crash") and shards > 1:
+            await asyncio.sleep(0.01)
+            service.shards[service.tenants[population[0][0]].shard_id].crash()
+    return oracles, steps, None
+
+
 @checker("service.vs-local")
 def _check_service(population, params: Mapping[str, Any],
                    rng: random.Random) -> CheckOutcome:
@@ -461,112 +571,27 @@ def _check_service(population, params: Mapping[str, Any],
 
     Spins a real :class:`~repro.service.server.DetectionService` (TCP,
     in-process shards), attaches the generated population, and drives a
-    seeded claim/release/detect stream through a pipelined client.  A
-    local :class:`~repro.service.tenant.Tenant` twin replays the same
-    accepted mutation prefix, so every grant bit, promotion, ``op_seq``
-    and batched detect verdict (with iteration and pass counts, against
-    a per-tenant :meth:`BitMatrix.reduce`) must agree exactly.  With
-    ``params["migrate"]`` each tenant is live-migrated mid-stream;
-    with ``params["crash"]`` a shard is killed mid-stream — neither may
-    perturb a single response.
+    seeded claim/release/detect stream (:func:`_replay_stream`) through
+    a pipelined client; :func:`replay_op` checks every grant bit,
+    promotion, ``op_seq`` and batched detect verdict against a local
+    :class:`~repro.service.tenant.Tenant` twin.
     """
     import asyncio
 
-    from repro.service import (
-        DetectionService,
-        ServiceClient,
-        ServiceConfig,
-        ServiceOpError,
-    )
-    from repro.service.tenant import Tenant
+    from repro.service import ServiceClient
 
     events = int(params.get("events", 30))
-    shards = int(params.get("shards", 2))
-    migrate = bool(params.get("migrate"))
-    crash = bool(params.get("crash"))
     script_seed = rng.randrange(2 ** 31)
 
     async def scenario() -> CheckOutcome:
-        service = DetectionService(ServiceConfig(
-            shards=shards, use_processes=False, tick_interval=0.001,
-            snapshot_every=8))
-        await service.start(host="127.0.0.1", port=0)
+        service = await _start_service(params)
         client = await ServiceClient.connect_tcp("127.0.0.1",
                                                  service.tcp_port)
-        steps = 0
         try:
-            oracles: dict = {}
-            for tenant_id, spec in population:
-                await client.attach(tenant_id, **spec)
-                oracles[tenant_id] = Tenant.from_attach(tenant_id, spec)
-            script = random.Random(script_seed)
-            for step in range(events):
-                for tenant_id, _spec in population:
-                    oracle = oracles[tenant_id]
-                    matrix = oracle.matrix
-                    if step and step % 5 == 0:
-                        reply = await client.detect(tenant_id)
-                        solo = matrix.copy()
-                        iterations, passes = solo.reduce()
-                        expected = (not solo.is_empty(), iterations,
-                                    passes, oracle.op_seq)
-                        got = (reply["deadlock"], reply["iterations"],
-                               reply["passes"], reply["op_seq"])
-                        steps += 1
-                        if got != expected:
-                            return _failed(
-                                f"{tenant_id} detect @ step {step}: "
-                                f"service {got} != oracle {expected}",
-                                steps=steps)
-                        continue
-                    process = f"p{script.randrange(1, matrix.n + 1)}"
-                    resource = f"q{script.randrange(1, matrix.m + 1)}"
-                    op = {"process": process, "resource": resource}
-                    kind = ("release" if script.random() < 0.4
-                            else "claim")
-                    try:
-                        expected = (oracle.claim(dict(op))
-                                    if kind == "claim"
-                                    else oracle.release(dict(op)))
-                        expected_code = None
-                    except ServiceOpError as exc:
-                        expected, expected_code = None, exc.code
-                    try:
-                        reply = (await client.claim(tenant_id, process,
-                                                    resource)
-                                 if kind == "claim"
-                                 else await client.release(
-                                     tenant_id, process, resource))
-                        got, got_code = reply, None
-                    except ServiceOpError as exc:
-                        got, got_code = None, exc.code
-                    steps += 1
-                    if got_code != expected_code:
-                        return _failed(
-                            f"{tenant_id} {kind} @ step {step}: "
-                            f"service error {got_code} != oracle "
-                            f"{expected_code}", steps=steps)
-                    if expected is not None:
-                        keys = (("granted", "op_seq")
-                                if kind == "claim"
-                                else ("promoted", "op_seq"))
-                        for key in keys:
-                            if got[key] != expected[key]:
-                                return _failed(
-                                    f"{tenant_id} {kind} @ step "
-                                    f"{step}: {key} {got[key]!r} != "
-                                    f"{expected[key]!r}", steps=steps)
-                if migrate and step == events // 2:
-                    for tenant_id, _spec in population:
-                        record = service.tenants[tenant_id]
-                        await client.migrate(
-                            tenant_id,
-                            (record.shard_id + 1) % shards)
-                if crash and step == events // 2 and shards > 1:
-                    await asyncio.sleep(0.01)
-                    victim = service.tenants[
-                        population[0][0]].shard_id
-                    service.shards[victim].crash()
+            _oracles, steps, mismatch = await _replay_stream(
+                client, service, population, params, events, script_seed)
+            if mismatch:
+                return _failed(mismatch, steps=steps)
             stats = await client.stats()
             return _passed(
                 steps=steps, cycles=float(stats["batches"]),
@@ -642,19 +667,13 @@ def _check_service_chaos(population, params: Mapping[str, Any],
 
     from repro.service import (
         ChaosTransport,
-        DetectionService,
         NetFaultPlan,
         ResilientServiceClient,
         RetryPolicy,
-        ServiceConfig,
-        ServiceOpError,
     )
-    from repro.service.tenant import Tenant
 
     kinds = tuple(params.get("chaos", ("drop",)))
     events = int(params.get("events", 10))
-    shards = int(params.get("shards", 2))
-    crash = bool(params.get("crash"))
     plan = NetFaultPlan(name=f"wire-{'+'.join(kinds)}",
                         seed=rng.randrange(2 ** 31),
                         specs=_net_chaos_specs(kinds))
@@ -665,81 +684,17 @@ def _check_service_chaos(population, params: Mapping[str, Any],
                          recover_after=1, cooldown_s=0.02)
 
     async def scenario() -> CheckOutcome:
-        service = DetectionService(ServiceConfig(
-            shards=shards, use_processes=False, tick_interval=0.001,
-            snapshot_every=8))
-        await service.start(host="127.0.0.1", port=0)
+        service = await _start_service(params)
         proxy = ChaosTransport(plan, target_port=service.tcp_port)
         await proxy.start()
         client = ResilientServiceClient.tcp(
             "127.0.0.1", proxy.listen_port, policy=policy,
             seed=plan.seed, tag="chaos-client")
-        steps = 0
         try:
-            oracles: dict = {}
-            for tenant_id, spec in population:
-                await client.attach(tenant_id, **spec)
-                oracles[tenant_id] = Tenant.from_attach(tenant_id, spec)
-            script = random.Random(script_seed)
-            for step in range(events):
-                for tenant_id, _spec in population:
-                    oracle = oracles[tenant_id]
-                    matrix = oracle.matrix
-                    if step and step % 5 == 0:
-                        reply = await client.detect(tenant_id)
-                        solo = matrix.copy()
-                        iterations, passes = solo.reduce()
-                        expected = (not solo.is_empty(), iterations,
-                                    passes, oracle.op_seq)
-                        got = (reply["deadlock"], reply["iterations"],
-                               reply["passes"], reply["op_seq"])
-                        steps += 1
-                        if got != expected:
-                            return _failed(
-                                f"{tenant_id} detect @ step {step}: "
-                                f"service {got} != oracle {expected}",
-                                steps=steps)
-                        continue
-                    process = f"p{script.randrange(1, matrix.n + 1)}"
-                    resource = f"q{script.randrange(1, matrix.m + 1)}"
-                    op = {"process": process, "resource": resource}
-                    kind = ("release" if script.random() < 0.4
-                            else "claim")
-                    try:
-                        expected = (oracle.claim(dict(op))
-                                    if kind == "claim"
-                                    else oracle.release(dict(op)))
-                        expected_code = None
-                    except ServiceOpError as exc:
-                        expected, expected_code = None, exc.code
-                    try:
-                        reply = await client.request(
-                            kind, tenant=tenant_id, process=process,
-                            resource=resource)
-                        got, got_code = reply, None
-                    except ServiceOpError as exc:
-                        got, got_code = None, exc.code
-                    steps += 1
-                    if got_code != expected_code:
-                        return _failed(
-                            f"{tenant_id} {kind} @ step {step}: "
-                            f"service error {got_code} != oracle "
-                            f"{expected_code}", steps=steps)
-                    if expected is not None:
-                        keys = (("granted", "op_seq")
-                                if kind == "claim"
-                                else ("promoted", "op_seq"))
-                        for key in keys:
-                            if got[key] != expected[key]:
-                                return _failed(
-                                    f"{tenant_id} {kind} @ step "
-                                    f"{step}: {key} {got[key]!r} != "
-                                    f"{expected[key]!r}", steps=steps)
-                if crash and step == events // 2 and shards > 1:
-                    await asyncio.sleep(0.01)
-                    victim = service.tenants[
-                        population[0][0]].shard_id
-                    service.shards[victim].crash()
+            oracles, steps, mismatch = await _replay_stream(
+                client, service, population, params, events, script_seed)
+            if mismatch:
+                return _failed(mismatch, steps=steps)
             # Exactly-once differential: the migrate round-trip
             # re-hashes each tenant server-side; it must equal the
             # oracle twin that saw every mutation exactly once.
@@ -767,7 +722,8 @@ def _check_service_chaos(population, params: Mapping[str, Any],
                 steps=steps,
                 detail=(f"{len(population)} tenants x {events} events "
                         f"under {'+'.join(kinds)}, "
-                        f"plan={plan.plan_hash()[:12]}, crash={crash}"))
+                        f"plan={plan.plan_hash()[:12]}, "
+                        f"crash={bool(params.get('crash'))}"))
         finally:
             await client.close()
             await proxy.stop()

@@ -8,12 +8,7 @@ and require the digest of an uninterrupted run).
 """
 
 import json
-import os
 import signal
-import subprocess
-import sys
-import time
-from pathlib import Path
 
 import pytest
 
@@ -26,16 +21,15 @@ from repro.campaign import (
     results_digest,
 )
 from repro.campaign import runner as runner_module
+from repro.campaign.__main__ import main as campaign_main
 from repro.campaign.journal import (
     JOURNAL_NAME,
     RunJournal,
     journal_header,
 )
 from repro.campaign.runner import _run_with_timeout
+from repro.campaign.soak import journal_records, soak
 from repro.errors import ConfigurationError, ReproError
-
-REPO = Path(__file__).resolve().parent.parent
-SRC = str(REPO / "src")
 
 
 def _header(spec=None, **overrides):
@@ -226,75 +220,33 @@ class TestTimeoutGuard:
 
 # -- end-to-end kill-and-resume determinism ------------------------------------
 
-def _cli_env():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
-    return env
-
-
-def _cli(*argv):
-    return [sys.executable, "-m", "repro.campaign", *argv]
-
-
-def _journal_records(run_dir: Path) -> int:
-    journal = run_dir / JOURNAL_NAME
-    if not journal.exists():
-        return 0
-    return sum(1 for line in journal.read_text().splitlines()
-               if '"type":"result"' in line)
-
-
-def _run_and_kill(argv, run_dir: Path, trigger: int,
-                  timeout: float = 120.0) -> bool:
-    """SIGKILL the runner's whole process group once ``trigger``
-    records are journaled; True when the kill landed mid-run."""
-    process = subprocess.Popen(argv, env=_cli_env(), cwd=REPO,
-                               start_new_session=True,
-                               stdout=subprocess.DEVNULL,
-                               stderr=subprocess.DEVNULL)
-    deadline = time.time() + timeout
-    try:
-        while time.time() < deadline:
-            if process.poll() is not None:
-                return False
-            if _journal_records(run_dir) >= trigger:
-                os.killpg(process.pid, signal.SIGKILL)
-                process.wait(timeout=30)
-                return True
-            time.sleep(0.002)
-    finally:
-        if process.poll() is None:
-            os.killpg(process.pid, signal.SIGKILL)
-            process.wait(timeout=30)
-    return True
+def test_journal_records_counts_zero_before_the_journal_exists(tmp_path):
+    assert journal_records(tmp_path) == 0
+    with RunJournal.create(tmp_path, _header()) as journal:
+        journal.append_result(_record("smoke/00000"))
+        journal.append_result(_record("smoke/00000"))
+        journal.append_result(_record("smoke/00001"))
+    assert journal_records(tmp_path) == 2
 
 
 @pytest.mark.parametrize("workers", [1, 4])
 def test_kill_and_resume_digest_matches_clean_run(tmp_path, workers):
-    clean_dir = tmp_path / "clean"
-    crashed_dir = tmp_path / "crashed"
-    common = ["--builtin", "faults", "--seed-root", "42",
-              "--workers", str(workers)]
+    report = soak(["--builtin", "faults"], tmp_path, seed_root="42",
+                  workers=workers, kills=1)
+    # A kill that landed mid-campaign left a strict prefix of the full
+    # run journaled; resume finished it.
+    total = len(load_results(tmp_path / "clean"))
+    assert all(records < total for records in report.kills)
+    assert report.crashed_digest == report.clean_digest
 
-    clean = subprocess.run(
-        _cli("run", *common, "--out", str(clean_dir)),
-        env=_cli_env(), cwd=REPO, capture_output=True, text=True,
-        timeout=300)
-    assert clean.returncode == 0, clean.stderr
-    clean_digest = results_digest(load_results(clean_dir))
 
-    interrupted = _run_and_kill(
-        _cli("run", *common, "--out", str(crashed_dir)),
-        crashed_dir, trigger=3)
-    if interrupted:
-        # The kill landed mid-campaign: the journal must be a strict
-        # prefix of the full run, and resume must finish it.
-        assert _journal_records(crashed_dir) < len(
-            load_results(clean_dir))
-    resume = subprocess.run(
-        _cli("resume", str(crashed_dir)),
-        env=_cli_env(), cwd=REPO, capture_output=True, text=True,
-        timeout=300)
-    assert resume.returncode == 0, resume.stderr
-
-    assert results_digest(load_results(crashed_dir)) == clean_digest
+def test_soak_cli_without_kills_compares_worker_counts(tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(_tiny_spec().to_json())
+    status = campaign_main(["soak", "--spec", str(spec_path),
+                            "--seed-root", "7", "--workers", "2",
+                            "--kills", "0", "--out", str(tmp_path / "s")])
+    assert status == 0
+    out = capsys.readouterr().out
+    assert "kill #" not in out and "determinism holds" in out
+    assert journal_records(tmp_path / "s" / "crashed") == 4

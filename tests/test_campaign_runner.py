@@ -1,5 +1,7 @@
 """The sharded runner: determinism, fault isolation, retry, replay."""
 
+import asyncio
+
 import pytest
 
 from repro.campaign import (
@@ -15,8 +17,11 @@ from repro.campaign import (
     strip_timing,
     write_run,
 )
+from repro.campaign.checkers import replay_op
 from repro.errors import ReproError
 from repro.obs import Observability
+from repro.service import ServiceOpError
+from repro.service.tenant import Tenant
 
 
 def _campaign(*specs, name="t") -> CampaignSpec:
@@ -250,3 +255,81 @@ class TestArgumentValidation:
             name="x", generator="rag.random", checker="nope"))
         with pytest.raises(ReproError, match="unknown checker"):
             CampaignRunner(campaign).run()
+
+
+class _TwinService:
+    """A fake client answering from its own tenant twin.
+
+    ``mangle(op, reply)`` rewrites the ``index``-th reply (``{}`` when
+    the twin refused that op), or raises in its place, to play a
+    service that answers wrongly once.
+    """
+
+    def __init__(self, index=None, mangle=None):
+        self.twin = Tenant.from_attach("t", {"m": 3, "n": 3})
+        self.index, self.mangle, self.sent = index, mangle, 0
+
+    def _answer(self, op, fields):
+        if op != "detect":
+            return getattr(self.twin, op)(fields)
+        solo = self.twin.matrix.copy()
+        iterations, passes = solo.reduce()
+        return {"deadlock": not solo.is_empty(), "iterations": iterations,
+                "passes": passes, "op_seq": self.twin.op_seq}
+
+    async def request(self, op, tenant, **fields):
+        position, self.sent = self.sent, self.sent + 1
+        if position != self.index:
+            return self._answer(op, fields)
+        try:
+            reply = self._answer(op, fields)
+        except ServiceOpError:
+            reply = {}
+        return self.mangle(op, dict(reply))
+
+
+#: A deadlock in four claims, a refused claim, a detect, and a release
+#: that promotes a waiter.
+_OPS = (("claim", "p1", "q1"), ("claim", "p2", "q2"),
+        ("claim", "p1", "q2"), ("claim", "p2", "q1"),
+        ("claim", "p2", "q1"), ("detect", None, None),
+        ("release", "p1", "q1"), ("detect", None, None))
+
+
+def _replay(client):
+    oracle = Tenant.from_attach("t", {"m": 3, "n": 3})
+    return [asyncio.run(replay_op(client, oracle, "t", kind, process,
+                                  resource))
+            for kind, process, resource in _OPS]
+
+
+def _set(key, value):
+    def mangle(_op, reply):
+        reply[key] = value(reply[key])
+        return reply
+    return mangle
+
+
+def _refuse(_op, _reply):
+    raise ServiceOpError("bad-request", "wrong refusal")
+
+
+class TestReplayOp:
+    def test_faithful_service_matches_every_op(self):
+        client = _TwinService()
+        assert _replay(client) == [None] * len(_OPS)
+        assert client.twin.op_seq == 5          # the refused claim
+
+    @pytest.mark.parametrize("index, mangle, needle", [
+        (0, _set("granted", lambda granted: not granted), "granted"),
+        (2, _set("op_seq", lambda seq: seq + 1), "op_seq"),
+        (1, _refuse, "service error bad-request != oracle None"),
+        (5, _set("iterations", lambda count: count + 1), "detect"),
+        (6, _set("promoted", lambda _name: None), "promoted"),
+        (4, lambda _op, _reply: {"granted": True, "op_seq": 5},
+         "service error None != oracle protocol-violation"),
+    ])
+    def test_one_wrong_answer_is_reported(self, index, mangle, needle):
+        messages = _replay(_TwinService(index, mangle))
+        assert needle in messages[index]
+        assert [i for i, m in enumerate(messages) if m] == [index]

@@ -152,3 +152,46 @@ def test_snapshot_payload_round_trips_any_state(seed, num_blocks, ops):
     restored = BlockAllocator.from_payload(payload)
     assert restored.snapshot_payload() == payload
     assert restored.verify() == []
+
+
+def test_churn_with_periodic_corruption_stays_consistent():
+    """100k seeded ops; every 997th corrupts a derived table, then audits.
+
+    Each audit must heal the corruption completely and idempotently,
+    and freeing every owner at the end must return the whole pool.
+    """
+    num_blocks, audit_every = 48, 997
+    rng = random.Random("memory-torture|42")
+    allocator = BlockAllocator(num_blocks, 1024)
+    owners = tuple(f"t{i}" for i in range(6))
+    violations = []
+    for index in range(100_000):
+        owner = rng.choice(owners)
+        mapping = allocator._mappings.get(owner, {})
+        roll = rng.random()
+        try:
+            if roll < 0.35 or not mapping:
+                allocator.allocate(owner, rng.randint(1, 3))
+            elif roll < 0.55:
+                allocator.share(owner, rng.choice(sorted(mapping)),
+                                rng.choice(owners))
+            elif roll < 0.75:
+                allocator.write_fault(owner, rng.choice(sorted(mapping)))
+            else:
+                allocator.deallocate(owner, rng.choice(sorted(mapping)))
+        except AllocationError:
+            pass                            # a legal refusal
+        if index % audit_every == audit_every - 1:
+            block = rng.randrange(num_blocks)
+            if rng.random() < 0.5:
+                allocator.corrupt(block, rng.choice((None, "<ghost>")))
+            else:
+                allocator.corrupt_refcount(block, rng.randint(0, 5))
+            allocator.audit()
+            if allocator.verify() or allocator.audit() != 0:
+                violations.append(index)
+    assert violations == []
+    for owner in owners:
+        allocator.deallocate_all(owner)
+    assert allocator.free_blocks == num_blocks
+    assert allocator.verify() == []
