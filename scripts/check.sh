@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Repository check gate: lint (when ruff is installed) + the tier-1 suite.
+# Repository check gate: lint (when ruff is installed) + the tier-1 suite
+# + a REPORT.md regeneration check.
 #
 # Usage: scripts/check.sh [extra pytest args]
 #
@@ -25,6 +26,16 @@ fi
 
 echo "== pytest =="
 PYTHONPATH=src python -m pytest -q "$@"
+
+echo "== REPORT.md drift =="
+report=$(mktemp)
+trap 'rm -f "$report"' EXIT
+PYTHONPATH=src python -m repro.experiments --markdown "$report" >/dev/null
+if ! cmp -s "$report" REPORT.md; then
+    echo "REPORT.md is stale; regenerate it with" \
+         "PYTHONPATH=src python -m repro.experiments --markdown REPORT.md"
+    exit 1
+fi
 
 if [[ "${CHECK_BENCH:-0}" == "1" ]]; then
     echo "== obs overhead guard =="

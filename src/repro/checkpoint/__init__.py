@@ -39,7 +39,6 @@ from repro.checkpoint.protocol import (
     state_hash,
     write_snapshot,
 )
-from repro.checkpoint.scenario import ScenarioCheckpoint
 from repro.errors import CheckpointError
 
 #: kind tag -> "module:ClassName" of the restoring class.
@@ -115,3 +114,14 @@ __all__ = [
     "state_hash",
     "write_snapshot",
 ]
+
+
+def __getattr__(name: str):
+    # PEP 562: only campaign workers need the scenario handle, and it
+    # pulls in the observability stack and, through it, the simulator's
+    # trace; a layer that snapshots itself needs just the protocol.
+    if name == "ScenarioCheckpoint":
+        from repro.checkpoint.scenario import ScenarioCheckpoint
+        globals()[name] = ScenarioCheckpoint
+        return ScenarioCheckpoint
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -29,6 +29,7 @@ functions of their arguments and need no seed at all.
 from __future__ import annotations
 
 import random
+import sys
 from typing import Mapping, Optional
 
 from repro.errors import ConfigurationError
@@ -52,9 +53,12 @@ def resolve_rng(rng: Optional[random.Random] = None,
 
 
 def _names(m: int, n: int) -> tuple[list[str], list[str]]:
+    """Process and resource names, interned: every generated state of
+    a population shares one ``"p1"``, one ``"q1"`` and so on."""
     if m < 1 or n < 1:
         raise ConfigurationError("need at least one resource and process")
-    return ([f"p{t + 1}" for t in range(n)], [f"q{s + 1}" for s in range(m)])
+    return ([sys.intern(f"p{t + 1}") for t in range(n)],
+            [sys.intern(f"q{s + 1}") for s in range(m)])
 
 
 def empty_state(num_resources: int, num_processes: int) -> RAG:

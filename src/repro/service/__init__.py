@@ -27,42 +27,32 @@ Layering:
 ``python -m repro.service`` starts a server.
 """
 
-from repro.service.protocol import (
-    ADMIN_OPS,
-    ERROR_CODES,
-    MAX_LINE_BYTES,
-    MUTATING_OPS,
-    PROTOCOL_VERSION,
-    TENANT_OPS,
-    ServiceOpError,
-    decode_line,
-    encode_message,
-    error_response,
-    ok_response,
-    validate_request,
-)
-from repro.service.tenant import (
-    IDEM_WINDOW,
-    MAX_TENANT_SIDE,
-    SNAPSHOT_KIND,
-    Tenant,
-)
-from repro.service.shard import ShardCore, shard_main
-from repro.service.server import DetectionService, ServiceConfig, ShardHandle
-from repro.service.client import (
-    CircuitOpenError,
-    IDEMPOTENT_OPS,
-    RETRYABLE_CODES,
-    ResilientServiceClient,
-    RetryPolicy,
-    ServiceClient,
-)
-from repro.service.chaos import (
-    NET_FAULT_KINDS,
-    ChaosTransport,
-    NetFaultPlan,
-    NetFaultSpec,
-)
+from importlib import import_module
+
+#: Where each exported name lives.  The names resolve on first access
+#: (PEP 562), so ``python -m repro.service`` loads neither the client
+#: nor the chaos proxy, nor the fault and deadlock-unit packages the
+#: resilient client pulls in.
+_EXPORTS = {
+    "repro.service.protocol": ("ADMIN_OPS", "ERROR_CODES", "MAX_LINE_BYTES",
+                               "MUTATING_OPS", "PROTOCOL_VERSION",
+                               "TENANT_OPS", "ServiceOpError",
+                               "decode_line", "encode_message",
+                               "error_response", "ok_response",
+                               "validate_request"),
+    "repro.service.tenant": ("IDEM_WINDOW", "MAX_TENANT_SIDE",
+                             "SNAPSHOT_KIND", "Tenant"),
+    "repro.service.shard": ("ShardCore", "shard_main"),
+    "repro.service.server": ("DetectionService", "ServiceConfig",
+                             "ShardHandle"),
+    "repro.service.client": ("CircuitOpenError", "IDEMPOTENT_OPS",
+                             "RETRYABLE_CODES", "ResilientServiceClient",
+                             "RetryPolicy", "ServiceClient"),
+    "repro.service.chaos": ("NET_FAULT_KINDS", "ChaosTransport",
+                            "NetFaultPlan", "NetFaultSpec"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items()
+              for name in names}
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -97,3 +87,12 @@ __all__ = [
     "NetFaultSpec",
     "NET_FAULT_KINDS",
 ]
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(module), name)
+    globals()[name] = value
+    return value

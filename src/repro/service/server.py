@@ -17,7 +17,8 @@ SIGKILLs).  The front end is the durability domain:
 * it builds every tenant itself on ``attach`` (seeded through the
   ``resolve_rng`` contract) and keeps the attach-time snapshot
   envelope;
-* every *acked* mutation is journaled per tenant, and the snapshot is
+* every *acked* mutation is journaled per tenant as a compact
+  ``(op, process, resource, idem)`` record, and the snapshot is
   refreshed from the shard every ``snapshot_every`` mutations; the
   journal holds exactly the mutations whose ``op_seq`` is past the
   snapshot's, so it truncates by ``op_seq`` at each refresh;
@@ -41,6 +42,7 @@ from __future__ import annotations
 import asyncio
 import functools
 import multiprocessing
+import sys
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -158,9 +160,10 @@ class _TenantRecord:
         #: Last known-good envelope (attach-time, then refreshed).
         self.snapshot = snapshot
         #: Acked mutations the snapshot does not hold (crash-replay
-        #: source).  Entry ``k`` is the one with ``op_seq`` equal to
-        #: the snapshot's plus ``k + 1``: a tenant's acked mutations
-        #: carry consecutive ``op_seq`` values.
+        #: source), each an ``(op, process, resource, idem)`` tuple
+        #: (see :func:`_journal_entry`).  Entry ``k`` is the one with
+        #: ``op_seq`` equal to the snapshot's plus ``k + 1``: a
+        #: tenant's acked mutations carry consecutive ``op_seq`` values.
         self.journal: list = []
         #: Queued + dispatched, not yet answered (backpressure).
         self.outstanding = 0
@@ -175,6 +178,29 @@ class _TenantRecord:
         #: hitting ``duplicate-tenant``.
         self.attach_idem: Optional[str] = None
         self.attach_response: Optional[dict] = None
+
+
+def _journal_entry(message: dict) -> tuple:
+    """The part of an acked mutation crash replay needs.
+
+    The request dict itself (``id``, ``deadline_ms``, ...) is freed once
+    it is answered.  The names are interned: an acked mutation names a
+    valid process and resource, so each is one of a small shared set.
+    """
+    return (sys.intern(message["op"]), sys.intern(message["process"]),
+            sys.intern(message["resource"]), message.get("idem"))
+
+
+def _replay_message(tenant_id: str, entry: tuple) -> dict:
+    """A journal entry back as the shard-batch op it was acked as."""
+    op, process, resource, idem = entry
+    message = {"op": op, "tenant": tenant_id, "process": process,
+               "resource": resource}
+    if idem is not None:
+        # Replay re-records the key in the tenant's dedup window, so a
+        # retry that arrives after recovery is still answered deduped.
+        message["idem"] = idem
+    return message
 
 
 class ShardHandle:
@@ -768,15 +794,15 @@ class DetectionService:
                     # Replayed from the idempotency window: nothing was
                     # applied, so journaling it again would double-apply
                     # on crash replay.  (Defense in depth — the tenant
-                    # dedups journal replay too, since journaled
-                    # messages carry their ``idem`` keys.)
+                    # dedups journal replay too, since journal entries
+                    # carry their ``idem`` keys.)
                     self._c_deduped.inc()
                 elif op in MUTATING_OPS and record is not None:
                     # A refresh that ran after this batch reached the
                     # shard already holds the mutation.
                     if (response["op_seq"]
                             > record.snapshot["state"]["op_seq"]):
-                        record.journal.append(message)
+                        record.journal.append(_journal_entry(message))
                     if (len(record.journal)
                             >= self.config.snapshot_every):
                         refresh.add(record.tenant_id)
@@ -862,7 +888,8 @@ class DetectionService:
             self._c_rebalanced.inc()
             target.request("restore", record.snapshot)
             if record.journal:
-                replay = [dict(op) for op in record.journal]
+                replay = [_replay_message(record.tenant_id, entry)
+                          for entry in record.journal]
                 self._c_replayed.inc(len(replay))
                 target.request("batch", replay)
         self._queue[:0] = requeue

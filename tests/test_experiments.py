@@ -1,6 +1,11 @@
 """Tests for the experiment harnesses: every table/figure regenerates
 and reproduces the paper's qualitative claims."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.experiments import EXPERIMENTS, run_experiment
@@ -153,3 +158,18 @@ def test_every_experiment_renders_text():
         result = run_experiment(exp_id)
         text = result.render()
         assert isinstance(text, str) and len(text) > 40
+
+
+def test_report_md_matches_a_fresh_regeneration(tmp_path):
+    """REPORT.md is exactly what the experiments CLI writes today."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(root / "src") + os.pathsep + env.get(
+        "PYTHONPATH", "")
+    fresh = tmp_path / "REPORT.md"
+    subprocess.run([sys.executable, "-m", "repro.experiments",
+                    "--markdown", str(fresh)], cwd=root, env=env,
+                   capture_output=True, check=True)
+    assert fresh.read_bytes() == (root / "REPORT.md").read_bytes(), (
+        "REPORT.md is stale; regenerate it with "
+        "`PYTHONPATH=src python -m repro.experiments --markdown REPORT.md`")

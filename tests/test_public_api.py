@@ -60,9 +60,12 @@ def test_every_exported_item_is_documented(module):
 
 
 #: What the detection server never needs: the simulator, the RTOS, the
-#: framework and the SoCDMMU.
-SIMULATOR_PACKAGES = ("repro.framework", "repro.mpsoc", "repro.rtos",
-                      "repro.socdmmu")
+#: framework, the SoCDMMU, the deadlock units, the fault layer, campaign
+#: checkpoints, the client and the chaos proxy.
+SERVER_SKIPS = ("repro.framework", "repro.mpsoc", "repro.rtos",
+                "repro.socdmmu", "repro.deadlock", "repro.faults",
+                "repro.checkpoint.scenario", "repro.service.client",
+                "repro.service.chaos")
 
 
 def test_service_entry_point_skips_the_simulator():
@@ -70,10 +73,21 @@ def test_service_entry_point_skips_the_simulator():
     env = dict(os.environ)
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     probe = ("import sys, repro.service.__main__; "
-             f"print(sorted(set({SIMULATOR_PACKAGES!r}) & set(sys.modules)))")
+             f"print(sorted(set({SERVER_SKIPS!r}) & set(sys.modules)))")
     result = subprocess.run([sys.executable, "-c", probe], env=env,
                             capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("module", ["repro.service", "repro.checkpoint"])
+def test_lazy_package_names_resolve(module):
+    # repro.checkpoint.__all__ includes the lazy ScenarioCheckpoint.
+    package = importlib.import_module(module)
+    for name in package.__all__:
+        assert getattr(package, name) is not None, f"{module}.{name}"
+    with pytest.raises(AttributeError, match="no_such_name"):
+        package.no_such_name
+    assert not hasattr(package, "no_such_name")
 
 
 def test_lazy_top_level_names_resolve():

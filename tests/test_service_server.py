@@ -668,3 +668,107 @@ def test_stop_flushes_the_answers_of_held_ops():
         finally:
             writer.close()
     _run(scenario())
+
+
+def test_crash_replays_a_compact_journal_exactly_once():
+    """A journal tail of idem-keyed claims and releases survives a shard
+    crash: replay rebuilds the twin's state, a retried key is deduped,
+    and the journal kept only ``(op, process, resource, idem)``."""
+    from repro.service.tenant import Tenant
+
+    steps = [("claim", "p1", "q1"), ("claim", "p2", "q1"),
+             ("claim", "p2", "q2"), ("release", "p1", "q1"),
+             ("claim", "p3", "q3"), ("release", "p3", "q3")]
+    messages = [{"op": kind, "tenant": "t0", "process": process,
+                 "resource": resource, "idem": f"k{index}",
+                 "id": 100 + index, "deadline_ms": 5000}
+                for index, (kind, process, resource) in enumerate(steps)]
+    twin = Tenant.from_attach("t0", {"m": 4, "n": 4})
+    for message in messages:
+        getattr(twin, message["op"])(message)
+
+    async def scenario():
+        service = DetectionService(ServiceConfig(
+            shards=2, use_processes=False, snapshot_every=1000))
+        await service.start()
+        try:
+            assert (await service.submit({"op": "attach", "tenant": "t0",
+                                          "m": 4, "n": 4}))["ok"]
+            for message in messages:
+                assert (await service.submit(dict(message)))["ok"]
+            record = service.tenants["t0"]
+            assert record.snapshot["state"]["op_seq"] == 0
+            assert record.journal == [
+                (message["op"], message["process"], message["resource"],
+                 message["idem"]) for message in messages]
+            service.shards[record.shard_id].crash()
+            assert service.stats()["journal_replayed"] == len(messages)
+            kind, envelope = await service.shards[
+                record.shard_id].request("snapshot", "t0")
+            assert kind == "snapshot"
+            assert envelope["state"]["op_seq"] == twin.op_seq
+            assert envelope["state_hash"] == \
+                twin.snapshot_state()["state_hash"]
+            retry = await service.submit(dict(messages[2]))
+            assert retry["ok"] and retry["deduped"] is True
+            assert retry["op_seq"] == 3
+            kind, envelope = await service.shards[
+                record.shard_id].request("snapshot", "t0")
+            assert envelope["state"]["op_seq"] == twin.op_seq
+        finally:
+            await service.stop()
+    _run(scenario())
+
+
+def test_journal_retains_a_few_dozen_bytes_per_mutation():
+    """What the front end keeps per acked mutation, before a refresh
+    truncates the journal, is a small tuple of shared strings, not the
+    decoded request."""
+    import gc
+    import tracemalloc
+
+    tenants, rounds = 512, 16     # 32 mutations each, under a refresh
+
+    async def scenario():
+        service = DetectionService(ServiceConfig(
+            shards=2, use_processes=False, snapshot_every=64))
+        await service.start()
+        try:
+            ids = [f"t{index}" for index in range(tenants)]
+            attaches = [service.submit({"op": "attach", "tenant": tenant,
+                                        "m": 8, "n": 8})
+                        for tenant in ids]
+            for future in attaches:
+                assert (await future)["ok"]
+            gc.collect()
+            tracemalloc.start()
+            try:
+                request_id = 0
+                for step in range(rounds):
+                    name = str(step % 8 + 1)
+                    for kind in ("claim", "release"):
+                        futures = []
+                        for tenant in ids:
+                            request_id += 1
+                            line = encode_message({
+                                "op": kind, "tenant": tenant,
+                                "process": "p" + name,
+                                "resource": "q" + name,
+                                "id": request_id, "deadline_ms": 5000})
+                            futures.append(service.submit(
+                                decode_line(line)))
+                        for future in futures:
+                            assert (await future)["ok"]
+                        del futures
+                gc.collect()
+                retained = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            journaled = [len(record.journal)
+                         for record in service.tenants.values()]
+            assert journaled == [2 * rounds] * tenants
+            per_mutation = retained / sum(journaled)
+            assert per_mutation <= 160, f"{per_mutation:.0f} B per mutation"
+        finally:
+            await service.stop()
+    _run(scenario())
