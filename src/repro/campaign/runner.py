@@ -2,18 +2,22 @@
 
 Scenarios are dealt round-robin onto ``workers`` shards; each shard is
 one ``multiprocessing`` worker process that executes its scenarios
-serially and streams one result record per scenario back through a
-shared queue.  Fault handling:
+serially and streams one result record per scenario back through its
+own pipe.  The parent waits on every pipe and every worker's process
+sentinel in one loop, which first runs and retries share.  Fault
+handling:
 
 * **per-task timeout** — each scenario is armed with a ``SIGALRM``
   interval timer inside the worker; a scenario that overruns yields a
   ``"timeout"`` verdict and the shard moves on;
 * **worker crash isolation** — a worker that dies mid-scenario (hard
   ``os._exit``, segfault, OOM kill) loses only its *unreported*
-  scenarios; the parent notices the dead process, keeps every record
-  already streamed, and re-runs the missing scenarios one per fresh
-  process with bounded retry and exponential backoff.  Scenarios that
-  keep killing their process are recorded with verdict ``"crash"``;
+  scenarios; its sentinel tells the parent it died, and the parent
+  keeps every record already streamed, and re-runs the missing
+  scenarios one per fresh process with bounded retry and exponential
+  backoff.  A retry has no deadline beyond ``task_timeout``, just as a
+  first attempt has none.  Scenarios that keep killing their process
+  are recorded with verdict ``"crash"``;
 * **interrupt / SIGTERM as worker loss** — a ``KeyboardInterrupt`` or
   ``SIGTERM`` delivered to a shard worker (cluster preemption, operator
   Ctrl-C reaching the process group) is not a scenario verdict: the
@@ -32,11 +36,11 @@ the :data:`TIMING_FIELDS`.
 from __future__ import annotations
 
 import multiprocessing
-import queue as queue_module
 import random
 import signal
 import time
 from dataclasses import dataclass, field
+from multiprocessing import connection
 from typing import Any, Mapping, Optional, Union
 
 from pathlib import Path
@@ -216,12 +220,13 @@ def _sigterm_handler(signum, frame):
 
 
 def _worker_main(shard: int, scenarios: list, timeout: Optional[float],
-                 out_queue, epoch: float,
+                 conn, epoch: float,
                  checkpoint_dir: Optional[str] = None,
                  blackbox_dir: Optional[str] = None,
                  profile: bool = False) -> None:
-    """One shard: run scenarios serially, stream records, then a
-    sentinel.  Runs in a child process.
+    """One shard: run scenarios serially, send each record down
+    ``conn`` (the write end of this worker's pipe), then ``("done",
+    shard)``.  Runs in a child process.
 
     ``KeyboardInterrupt``/``SystemExit`` (including SIGTERM, remapped
     above) are *worker losses*, not verdicts: the shard reports which
@@ -233,7 +238,7 @@ def _worker_main(shard: int, scenarios: list, timeout: Optional[float],
     up to (and excluding) a torn final line survives even ``SIGKILL``.
     With ``profile`` set, every system a scenario builds is born
     instrumented; the merged per-scenario profile streams back as a
-    ``("profile", ...)`` queue message ahead of the result record.
+    ``("profile", ...)`` pipe message ahead of the result record.
     """
     signal.signal(signal.SIGTERM, _sigterm_handler)
     flight: Optional[FlightRecorder] = None
@@ -268,19 +273,19 @@ def _worker_main(shard: int, scenarios: list, timeout: Optional[float],
                 merged = merge_profiles(captured, label=current)
                 merged.meta["scenario_id"] = current
                 merged.meta["verdict"] = result.verdict
-                out_queue.put(("profile", {"scenario_id": current,
-                                           "profile": merged.to_dict()}))
+                conn.send(("profile", {"scenario_id": current,
+                                       "profile": merged.to_dict()}))
             if flight is not None:
                 flight.record("scenario_end", actor=f"shard{shard}",
                               scenario_id=current, verdict=result.verdict)
-            out_queue.put(("result", result.to_record()))
-        out_queue.put(("done", shard))
+            conn.send(("result", result.to_record()))
+        conn.send(("done", shard))
     except (KeyboardInterrupt, SystemExit):
         if flight is not None:
             flight.record("worker_lost", actor=f"shard{shard}",
                           scenario_id=current or "")
-        out_queue.put(("lost", {"shard": shard, "scenario_id": current,
-                                "at": time.time() - epoch}))
+        conn.send(("lost", {"shard": shard, "scenario_id": current,
+                            "at": time.time() - epoch}))
     finally:
         if flight is not None:
             flight.close_sink()
@@ -492,14 +497,14 @@ class CampaignRunner:
         epoch = time.time()
         self._worker_losses: list = []
         self._profiles = {}
-        records.update(self._run_sharded(pending, shard_map, epoch))
-        missing = [scenario for scenario in pending
-                   if scenario.scenario_id not in records]
-        for scenario in missing:
-            record = self._retry_scenario(
-                scenario, shard_map[scenario.scenario_id], epoch)
-            self._journal_record(record)
-            records[scenario.scenario_id] = record
+        shards: dict = {shard: [] for shard in range(self.workers)}
+        for scenario in pending:
+            shards[shard_map[scenario.scenario_id]].append(scenario)
+        records.update(self._run_workers(shards, epoch, self.blackbox_dir))
+        for scenario in pending:
+            if scenario.scenario_id not in records:
+                records[scenario.scenario_id] = self._retry_scenario(
+                    scenario, shard_map[scenario.scenario_id], epoch)
         for scenario_id, record in records.items():
             shard_map.setdefault(scenario_id, record.get("shard", 0))
         results = [ScenarioResult.from_record(records[s.scenario_id])
@@ -517,78 +522,72 @@ class CampaignRunner:
 
     # -- sharded execution ---------------------------------------------------
 
-    def _run_sharded(self, scenarios: list, shard_map: dict,
-                     epoch: float) -> dict:
-        """Run the shards; returns {scenario_id: record} for every
-        scenario whose worker survived long enough to report it."""
-        shards: dict = {s: [] for s in range(self.workers)}
-        for scenario in scenarios:
-            shards[shard_map[scenario.scenario_id]].append(
-                scenario.to_dict())
+    def _run_workers(self, shards: Mapping[int, list], epoch: float,
+                     blackbox_dir: Optional[str],
+                     attempts: int = 1) -> dict:
+        """Run one worker per shard until every worker has exited.
+
+        Returns {scenario_id: record} for every scenario reported before
+        its worker exited, each stamped with ``attempts``.  Every worker
+        writes to its own pipe, so a worker that dies mid-write blocks
+        only itself.  The parent waits on every pipe and on every
+        process sentinel: a pipe's EOF is no death signal, because a
+        forked grandchild (say, a service shard a checker started) can
+        inherit the write end and outlive the worker.
+        """
         ctx = multiprocessing.get_context()
-        out_queue = ctx.Queue()
-        processes = []
+        readers: dict = {}      # pipe read end -> shard
+        sentinels: dict = {}    # sentinel -> (shard, read end, process)
         for shard, work in shards.items():
+            reader, writer = ctx.Pipe(duplex=False)
             process = ctx.Process(
                 target=_worker_main,
-                args=(shard, work, self.task_timeout, out_queue, epoch,
-                      self.checkpoint_dir, self.blackbox_dir,
-                      self.profile),
+                args=(shard, [scenario.to_dict() for scenario in work],
+                      self.task_timeout, writer, epoch, self.checkpoint_dir,
+                      blackbox_dir, self.profile),
                 daemon=True)
             process.start()
-            processes.append(process)
+            writer.close()
+            readers[reader] = shard
+            sentinels[process.sentinel] = (shard, reader, process)
 
         records: dict = {}
-        open_shards = set(shards)
-        while open_shards:
+        signed_off: set = set()   # shards that sent "done" or "lost"
+
+        def receive(reader, shard: int) -> bool:
+            """Handle one message; False once the pipe has nothing left."""
             try:
-                kind, payload = out_queue.get(timeout=0.2)
-            except queue_module.Empty:
-                alive = {shard for shard, process in enumerate(processes)
-                         if process.is_alive()}
-                dead = open_shards - alive
-                if dead:
-                    # Crashed worker(s): they died without a sentinel.
-                    # Give the queue one final drain window, then hand
-                    # their unreported scenarios to the retry path.
-                    time.sleep(0.05)
-                    while True:
-                        try:
-                            kind, payload = out_queue.get_nowait()
-                        except queue_module.Empty:
-                            break
-                        if kind == "done":
-                            open_shards.discard(payload)
-                        elif kind == "lost":
-                            self._note_loss(payload)
-                            open_shards.discard(payload["shard"])
-                        elif kind == "profile":
-                            self._profiles[payload["scenario_id"]] = \
-                                payload["profile"]
-                        else:
-                            self._journal_record(payload)
-                            records[payload["scenario_id"]] = payload
-                    for shard in dead:
-                        self._note_crash(shard, epoch)
-                    open_shards -= dead
-                continue
-            if kind == "done":
-                open_shards.discard(payload)
-            elif kind == "lost":
-                # The worker was interrupted/terminated mid-scenario:
-                # record the loss and close the shard; its unreported
-                # scenarios take the crash-retry path.
-                self._note_loss(payload)
-                open_shards.discard(payload["shard"])
+                kind, payload = reader.recv()
+            except (EOFError, OSError):
+                return False
+            if kind == "result":
+                payload["attempts"] = attempts
+                self._journal_record(payload)
+                records[payload["scenario_id"]] = payload
             elif kind == "profile":
                 self._profiles[payload["scenario_id"]] = payload["profile"]
             else:
-                self._journal_record(payload)
-                records[payload["scenario_id"]] = payload
-        for process in processes:
-            process.join(timeout=1.0)
-            if process.is_alive():  # pragma: no cover - defensive
-                process.terminate()
+                signed_off.add(shard)
+                if kind == "lost":
+                    # Interrupted/terminated mid-scenario: the unreported
+                    # scenarios take the crash-retry path.
+                    self._note_loss(payload)
+            return True
+
+        while sentinels:
+            for ready in connection.wait([*readers, *sentinels]):
+                if ready in readers:
+                    if not receive(ready, readers[ready]):
+                        del readers[ready]   # the sentinel reports the exit
+                elif ready in sentinels:
+                    shard, reader, process = sentinels.pop(ready)
+                    if readers.pop(reader, None) is not None:
+                        while reader.poll(0) and receive(reader, shard):
+                            pass
+                    reader.close()
+                    process.join()
+                    if shard not in signed_off:
+                        self._note_crash(shard, epoch)
         return records
 
     def _retry_scenario(self, scenario: Scenario, shard: int,
@@ -596,46 +595,16 @@ class CampaignRunner:
         """Re-run a scenario whose worker died, in a fresh process per
         attempt, with exponential backoff.  Returns its record (verdict
         ``"crash"`` after the retry budget is exhausted)."""
-        ctx = multiprocessing.get_context()
         for attempt in range(self.retries):
             time.sleep(self.backoff * (2 ** attempt))
             self._m_retries.inc()
-            retry_queue = ctx.Queue()
             # No black box for the retry: re-arming shard<N>.jsonl
             # would truncate the crash evidence the dead worker left.
-            process = ctx.Process(
-                target=_worker_main,
-                args=(shard, [scenario.to_dict()], self.task_timeout,
-                      retry_queue, epoch, self.checkpoint_dir, None,
-                      self.profile),
-                daemon=True)
-            process.start()
-            record = None
-            deadline = (time.time()
-                        + max(self.task_timeout or 0, 1.0) * 2 + 5.0)
-            while record is None and time.time() < deadline:
-                try:
-                    kind, payload = retry_queue.get(
-                        timeout=max(0.01, deadline - time.time()))
-                except queue_module.Empty:
-                    break
-                if kind == "result":
-                    record = payload
-                elif kind == "profile":
-                    self._profiles[payload["scenario_id"]] = \
-                        payload["profile"]
-                elif kind == "lost":
-                    self._note_loss(payload)
-                    break
-                elif kind == "done":
-                    break
-            process.join(timeout=1.0)
-            if process.is_alive():  # pragma: no cover - defensive
-                process.terminate()
-            if record is not None:
-                record["attempts"] = attempt + 2
-                return record
-        return ScenarioResult(
+            records = self._run_workers({shard: [scenario]}, epoch, None,
+                                        attempts=attempt + 2)
+            if scenario.scenario_id in records:
+                return records[scenario.scenario_id]
+        record = ScenarioResult(
             scenario_id=scenario.scenario_id, seed=scenario.seed,
             generator=scenario.generator, checker=scenario.checker,
             params=dict(scenario.params), verdict="crash", ok=False,
@@ -643,6 +612,8 @@ class CampaignRunner:
                    "retry attempt(s) also failed",
             start=time.time() - epoch, shard=shard,
             attempts=self.retries + 1).to_record()
+        self._journal_record(record)
+        return record
 
     def _note_loss(self, payload: Mapping[str, Any]) -> None:
         self._worker_losses.append(dict(payload))
@@ -654,7 +625,8 @@ class CampaignRunner:
         self._export_blackbox(payload.get("shard"))
 
     def _note_crash(self, shard: int, epoch: float) -> None:
-        """A worker died without a sentinel: keep the evidence.
+        """A worker exited without a ``done`` or ``lost`` message:
+        keep the evidence.
 
         The dead worker's streamed black box (everything flushed before
         the kill) is converted into a Perfetto trace next to the JSONL,

@@ -1,6 +1,12 @@
 """The sharded runner: determinism, fault isolation, retry, replay."""
 
 import asyncio
+import json
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +28,9 @@ from repro.errors import ReproError
 from repro.obs import Observability
 from repro.service import ServiceOpError
 from repro.service.tenant import Tenant
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def _campaign(*specs, name="t") -> CampaignSpec:
@@ -80,12 +89,13 @@ class TestDeterminism:
 
 
 class TestFaultIsolation:
-    def test_worker_crash_loses_nothing_else(self):
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_worker_crash_loses_nothing_else(self, workers):
         campaign = _campaign(
             _honest(repeats=6),
             ScenarioSpec(name="boom", generator="census",
                          checker="chaos.crash", params={"m": 2, "n": 2}))
-        run = CampaignRunner(campaign, workers=2, retries=1,
+        run = CampaignRunner(campaign, workers=workers, retries=1,
                              backoff=0.01).run()
         assert len(run.results) == campaign.count()
         by_id = {r.scenario_id: r for r in run.results}
@@ -95,7 +105,8 @@ class TestFaultIsolation:
                   if r.scenario_id.startswith("honest/")]
         assert all(r.verdict == "pass" for r in honest)
 
-    def test_crash_retry_recovers_flaky_scenario(self, tmp_path):
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_crash_retry_recovers_flaky_scenario(self, workers, tmp_path):
         marker = tmp_path / "crashed-once"
         campaign = _campaign(
             _honest(repeats=2),
@@ -103,14 +114,15 @@ class TestFaultIsolation:
                          checker="chaos.crash_once",
                          params={"m": 2, "n": 2,
                                  "marker": str(marker)}))
-        run = CampaignRunner(campaign, workers=2, retries=2,
+        run = CampaignRunner(campaign, workers=workers, retries=2,
                              backoff=0.01).run()
         by_id = {r.scenario_id: r for r in run.results}
         assert by_id["flaky/00000"].verdict == "pass"
         assert by_id["flaky/00000"].attempts == 2
         assert marker.exists()
 
-    def test_interrupted_worker_recorded_and_retried(self, tmp_path):
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_interrupted_worker_recorded_and_retried(self, workers, tmp_path):
         marker = tmp_path / "interrupted-once"
         campaign = _campaign(
             _honest(repeats=4),
@@ -118,7 +130,7 @@ class TestFaultIsolation:
                          checker="chaos.interrupt_once",
                          params={"m": 2, "n": 2,
                                  "marker": str(marker)}))
-        run = CampaignRunner(campaign, workers=2, retries=2,
+        run = CampaignRunner(campaign, workers=workers, retries=2,
                              backoff=0.01).run()
         assert len(run.results) == campaign.count()
         by_id = {r.scenario_id: r for r in run.results}
@@ -132,13 +144,14 @@ class TestFaultIsolation:
                   if r.scenario_id.startswith("honest/")]
         assert all(r.verdict == "pass" for r in honest)
 
-    def test_persistent_interrupt_exhausts_to_crash(self):
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_persistent_interrupt_exhausts_to_crash(self, workers):
         campaign = _campaign(
             _honest(repeats=2),
             ScenarioSpec(name="intr", generator="census",
                          checker="chaos.interrupt",
                          params={"m": 2, "n": 2}))
-        run = CampaignRunner(campaign, workers=2, retries=1,
+        run = CampaignRunner(campaign, workers=workers, retries=1,
                              backoff=0.01).run()
         by_id = {r.scenario_id: r for r in run.results}
         assert by_id["intr/00000"].verdict == "crash"
@@ -147,13 +160,14 @@ class TestFaultIsolation:
         assert all(loss["scenario_id"] == "intr/00000"
                    for loss in run.worker_losses)
 
-    def test_sigterm_in_worker_is_a_recorded_loss(self):
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_sigterm_in_worker_is_a_recorded_loss(self, workers):
         campaign = _campaign(
             _honest(repeats=2),
             ScenarioSpec(name="term", generator="census",
                          checker="chaos.interrupt",
                          params={"m": 2, "n": 2, "sigterm": True}))
-        run = CampaignRunner(campaign, workers=2, retries=1,
+        run = CampaignRunner(campaign, workers=workers, retries=1,
                              backoff=0.01).run()
         by_id = {r.scenario_id: r for r in run.results}
         assert by_id["term/00000"].verdict == "crash"
@@ -188,6 +202,96 @@ class TestFaultIsolation:
         assert run.counts["pass"] == 2
         assert run.counts["timeout"] == 1
         assert [r.scenario_id for r in run.failures] == ["hang/00000"]
+
+    def test_dying_worker_blocks_no_other_shard(self, tmp_path):
+        # The dying worker takes every multiprocessing queue's write lock
+        # with it, the state a worker killed mid-put leaves behind.  A
+        # runner that streams through one shared queue then waits forever
+        # on the surviving shard, so the run happens in a subprocess
+        # under a hard timeout.
+        script = tmp_path / "wedge.py"
+        script.write_text(WEDGE_SCRIPT)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+        child = subprocess.Popen(
+            [sys.executable, str(script)], env=env, text=True,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            start_new_session=True)
+        try:
+            out, err = child.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(child.pid, signal.SIGKILL)
+            child.communicate()
+            pytest.fail("the runner wedged behind a dead worker")
+        assert child.returncode == 0, err
+        verdicts = json.loads(out)
+        assert verdicts["dies/00000"] == ["crash", 2]
+        assert verdicts["sleeps/00000"] == ["pass", 1]
+
+    def test_retry_has_no_deadline_beyond_task_timeout(self):
+        # At one worker the hang follows the crash on the same shard, so
+        # it only runs as a retry; at two it runs as a first attempt.
+        # Its verdict must not depend on which.
+        campaign = _campaign(
+            ScenarioSpec(name="crash", generator="census",
+                         checker="chaos.crash", params={"m": 2, "n": 2}),
+            ScenarioSpec(name="hang", generator="census",
+                         checker="chaos.hang",
+                         params={"m": 2, "n": 2, "seconds": 8.0}))
+
+        def hang_result(workers):
+            run = CampaignRunner(campaign, workers=workers, retries=1,
+                                 backoff=0.01).run()
+            return next(r for r in run.results
+                        if r.scenario_id == "hang/00000")
+
+        retried, first = hang_result(1), hang_result(2)
+        assert retried.verdict == "fail"
+        assert retried.attempts == 2
+        assert first.attempts == 1
+        assert strip_timing(retried.to_record()) == \
+            strip_timing(first.to_record())
+
+
+WEDGE_SCRIPT = """
+import gc
+import json
+import multiprocessing.queues
+import os
+import time
+
+from repro.campaign import CampaignRunner, CampaignSpec, ScenarioSpec
+from repro.campaign.checkers import CheckOutcome, checker
+
+
+@checker("test.die_holding_queue_locks")
+def _die(subject, params, rng):
+    for obj in gc.get_objects():
+        if isinstance(obj, multiprocessing.queues.Queue) and obj._wlock:
+            obj._wlock.acquire()
+    os._exit(66)
+
+
+@checker("test.sleep_then_pass")
+def _sleep(subject, params, rng):
+    time.sleep(0.5)
+    return CheckOutcome(ok=True, verdict="pass")
+
+
+if __name__ == "__main__":
+    campaign = CampaignSpec(name="wedge", scenarios=(
+        ScenarioSpec(name="dies", generator="census",
+                     checker="test.die_holding_queue_locks",
+                     params={"m": 2, "n": 2}),
+        ScenarioSpec(name="sleeps", generator="census",
+                     checker="test.sleep_then_pass",
+                     params={"m": 2, "n": 2}),
+    ))
+    run = CampaignRunner(campaign, workers=2, retries=1,
+                         backoff=0.01).run()
+    print(json.dumps({r.scenario_id: [r.verdict, r.attempts]
+                      for r in run.results}))
+"""
 
 
 class TestManifestAndReplay:
