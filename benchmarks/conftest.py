@@ -8,15 +8,14 @@ full reproduction alongside the wall-clock numbers.
 
 
 def backend_stamp():
-    """Provenance block for BENCH_* payloads: the active matrix backend.
+    """Provenance block for BENCH_* payloads: the matrix backend.
 
     The value is a string on purpose — the trend gate only tracks
     numeric top-level keys, and provenance is context, not a metric.
     """
-    import os
+    from repro.rag.bitmatrix import FAST_BACKEND
 
-    return {"matrix_backend": os.environ.get("REPRO_MATRIX_BACKEND",
-                                             "bitmask")}
+    return {"matrix_backend": FAST_BACKEND}
 
 
 def bench_once(benchmark, fn, *args, **kwargs):

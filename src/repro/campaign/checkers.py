@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
 from repro.deadlock.dau import DAU
-from repro.deadlock.ddu import DDU
+from repro.deadlock.ddu import DDU, iteration_bound
 from repro.deadlock.pdda import pdda_detect
 from repro.deadlock.recovery import apply_plan, plan_recovery
 from repro.errors import AllocationError, ConfigurationError
@@ -161,20 +161,13 @@ def _gen_preset(params: Mapping[str, Any], rng: random.Random):
 
 # -- checkers: the paper's claims ---------------------------------------------
 
-def _iteration_bound(m: int, n: int) -> int:
-    smallest = min(m, n)
-    if smallest == 1:
-        return 1
-    return max(2, 2 * smallest - 3)
-
-
 @checker("pdda-vs-oracle")
 def _check_pdda(rag, params: Mapping[str, Any],
                 rng: random.Random) -> CheckOutcome:
     """PDDA === structural cycle oracle, within the proven step bound."""
     oracle = rag.has_cycle()
     result = pdda_detect(rag)
-    bound = _iteration_bound(rag.num_resources, rag.num_processes)
+    bound = iteration_bound(rag.num_resources, rag.num_processes)
     if result.deadlock != oracle:
         return _failed(f"PDDA says {result.deadlock}, oracle says "
                        f"{oracle}", steps=result.iterations,

@@ -33,6 +33,22 @@ from repro.rag.graph import RAG
 from repro.rag.matrix import CellState
 
 
+def iteration_bound(m: int, n: int) -> int:
+    """Upper bound on reduction iterations: max(2, 2*min(m, n) - 3).
+
+    The proven O(min(m, n)) bound of reference [29] is
+    ``2*min(m, n) - 3``; at min = 2 the true worst case is 2 (Table 1's
+    own 2x3 row reports 2), hence the floor.  A 1-row or 1-column
+    matrix always reduces in a single iteration (every edge sits in a
+    trivially terminal row/column).  A unit terminates within this many
+    iterations plus one final no-terminal evaluation pass.
+    """
+    smallest = min(m, n)
+    if smallest == 1:
+        return 1
+    return max(2, 2 * smallest - 3)
+
+
 @dataclass(frozen=True)
 class WeightCell:
     """One weight cell: terminal flag tau and connect flag phi."""
@@ -110,20 +126,8 @@ class DDU:
 
     @property
     def iteration_bound(self) -> int:
-        """Upper bound on reduction iterations: max(2, 2*min(m, n) - 3).
-
-        The proven O(min(m, n)) bound of reference [29] is
-        ``2*min(m, n) - 3``; at min = 2 the true worst case is 2 (Table
-        1's own 2x3 row reports 2), hence the floor.  A 1-row or
-        1-column matrix always reduces in a single iteration (every
-        edge sits in a trivially terminal row/column).  The unit
-        terminates within this many iterations plus one final
-        no-terminal evaluation pass.
-        """
-        smallest = min(self.m, self.n)
-        if smallest == 1:
-            return 1
-        return max(2, 2 * smallest - 3)
+        """:func:`iteration_bound` for this unit's ``m x n``."""
+        return iteration_bound(self.m, self.n)
 
     # -- register-file interface ----------------------------------------------
 

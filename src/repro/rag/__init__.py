@@ -10,7 +10,7 @@ a time (Section 3.2).  This package provides:
   Definition 6 with the 2-bit cell encoding of Section 4.2.2;
 * :class:`~repro.rag.bitmatrix.BitMatrix` — the same matrix stored as
   per-row/per-column integer bitmasks (the word-parallel fast path the
-  reduction kernels run on; ``REPRO_MATRIX_BACKEND`` selects);
+  reduction kernels run on; ``backend=`` selects);
 * :mod:`repro.rag.classic` — prior-work baselines (Holt-style cycle
   detection, graph reduction, Leibfried's adjacency-matrix method,
   Banker's algorithm);
@@ -21,13 +21,11 @@ a time (Section 3.2).  This package provides:
 from repro.rag.graph import RAG
 from repro.rag.matrix import CellState, StateMatrix
 from repro.rag.bitmatrix import (
-    BACKEND_ENV_VAR,
     BACKENDS,
     FAST_BACKEND,
     REFERENCE_BACKEND,
     BitMatrix,
     as_backend_matrix,
-    default_backend,
     matrix_class,
     matrix_from_rag,
     resolve_backend,
@@ -66,11 +64,9 @@ __all__ = [
     "BitMatrix",
     "CellState",
     "BACKENDS",
-    "BACKEND_ENV_VAR",
     "FAST_BACKEND",
     "REFERENCE_BACKEND",
     "as_backend_matrix",
-    "default_backend",
     "matrix_class",
     "matrix_from_rag",
     "resolve_backend",

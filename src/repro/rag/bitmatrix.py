@@ -29,13 +29,11 @@ service run 64x64-128x128 matrices.
 either representation), so every consumer — PDDA, the DDU/DAU models,
 serialization, the experiments — can hold either type.  The *backend
 knob* at the bottom picks which one the hot paths build: ``"bitmask"``
-(the default) or ``"reference"``; set ``REPRO_MATRIX_BACKEND=reference``
-to force the cell-object oracle process-wide.
+(the default) or ``"reference"``, per call through ``backend=``.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Iterable, Optional, Union
 
 from repro.checkpoint.protocol import snapshot_envelope
@@ -49,8 +47,6 @@ FAST_BACKEND = "bitmask"
 #: The per-cell :class:`StateMatrix` oracle.
 REFERENCE_BACKEND = "reference"
 BACKENDS = (FAST_BACKEND, REFERENCE_BACKEND)
-#: Environment escape hatch: ``REPRO_MATRIX_BACKEND=reference``.
-BACKEND_ENV_VAR = "REPRO_MATRIX_BACKEND"
 
 # -- text rows <-> bit planes ----------------------------------------------------
 #
@@ -539,21 +535,10 @@ AnyStateMatrix = Union[StateMatrix, BitMatrix]
 
 # -- backend knob -----------------------------------------------------------------
 
-def default_backend() -> str:
-    """The process default: ``REPRO_MATRIX_BACKEND`` or the fast path."""
-    value = os.environ.get(BACKEND_ENV_VAR, "").strip().lower()
-    if not value:
-        return FAST_BACKEND
-    if value not in BACKENDS:
-        raise ConfigurationError(
-            f"{BACKEND_ENV_VAR}={value!r} is not one of {sorted(BACKENDS)}")
-    return value
-
-
 def resolve_backend(backend: Optional[str] = None) -> str:
-    """Normalize a ``backend=`` argument (None -> process default)."""
+    """Normalize a ``backend=`` argument (None -> the fast path)."""
     if backend is None:
-        return default_backend()
+        return FAST_BACKEND
     if backend not in BACKENDS:
         raise ConfigurationError(
             f"unknown matrix backend {backend!r}; "

@@ -343,7 +343,7 @@ class DetectionResourceService(_WithdrawMixin, ResourceService):
                     if use_ddu else None)
         self._m_sw_detections = kernel.obs.metrics.counter(
             "matrix.fastpath.sw_detections",
-            "software PDDA runs (backend per REPRO_MATRIX_BACKEND)")
+            "software PDDA runs (on the bitmask backend)")
 
     port_site = "ddu.port"
 

@@ -57,6 +57,12 @@ async def _serve(args: argparse.Namespace) -> int:
     service = DetectionService(config)
     await service.start(host=args.host, port=args.port,
                         unix_path=args.unix)
+    # Handlers go in before the ready line, so a signal sent as soon as
+    # it is read still drains.  A wire `shutdown` also ends in stop().
+    loop = asyncio.get_running_loop()
+    for signum in (signal.SIGINT, signal.SIGTERM):
+        loop.add_signal_handler(
+            signum, lambda: asyncio.ensure_future(service.stop()))
     print(json.dumps({
         "ready": True,
         "port": service.tcp_port,
@@ -64,18 +70,7 @@ async def _serve(args: argparse.Namespace) -> int:
         "shards": [{"shard": handle.shard_id, "pid": handle.pid}
                    for handle in service.shards],
     }), flush=True)
-    stopping = asyncio.Event()
-    loop = asyncio.get_running_loop()
-    for signum in (signal.SIGINT, signal.SIGTERM):
-        loop.add_signal_handler(signum, stopping.set)
-    # `shutdown` over the wire calls service.stop(); poll for either.
-    while not stopping.is_set() and service._servers:
-        try:
-            await asyncio.wait_for(stopping.wait(), timeout=0.25)
-        except asyncio.TimeoutError:
-            pass
-    if service._servers:
-        await service.stop()
+    await service.stopped.wait()
     return 0
 
 

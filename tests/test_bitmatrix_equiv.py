@@ -27,7 +27,6 @@ from repro.rag.bitmatrix import (
     REFERENCE_BACKEND,
     BitMatrix,
     as_backend_matrix,
-    default_backend,
     matrix_class,
     matrix_from_rag,
     resolve_backend,
@@ -285,8 +284,10 @@ def test_round_trips():
 
 
 def test_backend_knob(monkeypatch):
-    monkeypatch.delenv("REPRO_MATRIX_BACKEND", raising=False)
-    assert resolve_backend(None) == default_backend() == FAST_BACKEND
+    # No environment variable selects the path any more.
+    monkeypatch.setenv("REPRO_MATRIX_BACKEND", "reference")
+    assert resolve_backend(None) == FAST_BACKEND
+    assert isinstance(matrix_from_rag(cycle_state(3)), BitMatrix)
     assert resolve_backend(REFERENCE_BACKEND) == REFERENCE_BACKEND
     assert matrix_class(FAST_BACKEND) is BitMatrix
     assert matrix_class(REFERENCE_BACKEND) is StateMatrix
@@ -294,17 +295,6 @@ def test_backend_knob(monkeypatch):
     for retired in ("simd", "native"):
         with pytest.raises(ConfigurationError):
             resolve_backend(retired)
-
-
-def test_backend_env_override(monkeypatch):
-    monkeypatch.setenv("REPRO_MATRIX_BACKEND", "reference")
-    assert default_backend() == REFERENCE_BACKEND
-    rag = cycle_state(3)
-    assert isinstance(matrix_from_rag(rag), StateMatrix)
-    assert isinstance(pdda_detect(rag).residual, StateMatrix)
-    monkeypatch.setenv("REPRO_MATRIX_BACKEND", "turbo")
-    with pytest.raises(ConfigurationError):
-        default_backend()
 
 
 def test_as_backend_matrix_always_fresh():

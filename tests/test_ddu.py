@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.deadlock.ddu import DDU
+from repro.deadlock.ddu import DDU, iteration_bound
 from repro.deadlock.pdda import pdda_detect
 from repro.errors import ConfigurationError
 from repro.rag.generate import chain_state, cycle_state, random_state
@@ -70,6 +70,8 @@ def test_iteration_bound_formula():
     assert DDU(3, 10).iteration_bound == 3      # 2*3 - 3
     assert DDU(2, 2).iteration_bound == 2       # floor at min = 2
     assert DDU(1, 1).iteration_bound == 1
+    for m, n in ((5, 5), (3, 10), (2, 2), (1, 1), (1, 9), (9, 4)):
+        assert iteration_bound(m, n) == DDU(m, n).iteration_bound
 
 
 def test_iterations_within_o_min_mn_bound():

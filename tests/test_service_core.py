@@ -287,8 +287,13 @@ def test_shard_snapshot_restore_drop():
     core = ShardCore(0)
     tenant = Tenant.from_attach("t", {"seed": 9, "m": 6, "n": 6})
     envelope = tenant.snapshot_state()
-    kind, reply = core.handle("restore", envelope)
-    assert kind == "ok" and reply["state_hash"] == envelope["state_hash"]
+    kind, replies = core.handle("batch", [
+        {"op": "restore", "tenant": "t", "envelope": envelope}])
+    assert kind == "results"
+    assert replies[0] == {"ok": True, "attached": True, "m": 6, "n": 6,
+                          "shard": 0, "state_hash": envelope["state_hash"]}
+    kind, detail = core.handle("restore", envelope)
+    assert kind == "error" and "unknown shard command" in detail
     kind, snap = core.handle("snapshot", "t")
     assert kind == "snapshot"
     assert snap["state_hash"] == envelope["state_hash"]
