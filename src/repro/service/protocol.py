@@ -44,6 +44,7 @@ well-behaved client backs off on.
 
 from __future__ import annotations
 
+import asyncio
 import json
 from typing import Any, Optional
 
@@ -94,6 +95,12 @@ class ServiceOpError(ServiceError):
         super().__init__(detail or code)
         self.code = code
         self.detail = detail
+
+
+def loop_time() -> float:
+    """The running event loop's clock: the one clock every service
+    deadline, timeout and latency reads, server and client alike."""
+    return asyncio.get_running_loop().time()
 
 
 def encode_message(message: dict) -> bytes:

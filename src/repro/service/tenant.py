@@ -62,11 +62,12 @@ def _build_matrix(spec: Mapping[str, Any]) -> BitMatrix:
 
     Every malformed spec is a ``bad-request``: a bad cell token, ragged
     or missing rows, ``rows`` that is not a list of strings, or numbers
-    that do not parse.
+    that do not parse or are not finite (JSON's ``1e400`` is ``inf``).
     """
     try:
         matrix = _matrix_from_spec(spec)
-    except (ResourceProtocolError, TypeError, ValueError) as exc:
+    except (ResourceProtocolError, TypeError, ValueError,
+            ArithmeticError) as exc:
         raise ServiceOpError("bad-request",
                              f"malformed attach: {exc}") from None
     if matrix.m > MAX_TENANT_SIDE or matrix.n > MAX_TENANT_SIDE:
