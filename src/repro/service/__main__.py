@@ -2,12 +2,11 @@
 
 Prints one JSON "ready" line on stdout once listening::
 
-    {"ready": true, "port": 41234, "unix": null,
-     "shards": [{"shard": 0, "pid": 12345}, ...]}
+    {"ready": true, "port": 41234, "unix": null}
 
-The soak script parses that line to learn the port and the shard pids
-it will SIGKILL.  The server runs until SIGINT/SIGTERM or a client
-sends ``{"op": "shutdown"}``.
+A launcher reads the port from that line; the ``shards`` admin op
+names each shard's pid.  The server runs until SIGINT/SIGTERM or a
+client sends ``{"op": "shutdown"}``.
 """
 
 from __future__ import annotations
@@ -67,8 +66,6 @@ async def _serve(args: argparse.Namespace) -> int:
         "ready": True,
         "port": service.tcp_port,
         "unix": args.unix,
-        "shards": [{"shard": handle.shard_id, "pid": handle.pid}
-                   for handle in service.shards],
     }), flush=True)
     await service.stopped.wait()
     return 0

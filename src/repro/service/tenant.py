@@ -13,8 +13,8 @@ auxiliary queue state:
   unmigrated twin promote identically.
 
 ``op_seq`` counts accepted mutations; detect verdicts echo it so an
-oracle can replay exactly the prefix a verdict reflects (the soak and
-the campaign checker do).
+oracle can replay exactly the prefix a verdict reflects (the campaign's
+service checkers do).
 
 Mutations may carry an ``idem`` idempotency key (protocol v2): the
 tenant keeps a bounded window of the last :data:`IDEM_WINDOW` applied

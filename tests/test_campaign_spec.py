@@ -134,7 +134,8 @@ class TestValidation:
 
 
 class TestBuiltins:
-    @pytest.mark.parametrize("name", ["smoke", "claims", "chaos"])
+    @pytest.mark.parametrize("name", ["smoke", "claims", "chaos",
+                                      "service-shard-kill"])
     def test_builtin_campaigns_validate_and_expand(self, name):
         campaign = builtin_campaign(name)
         campaign.validate()

@@ -203,10 +203,19 @@ def _attach_op(tenant_id, **spec):
     return {"op": "attach", "tenant": tenant_id, **spec}
 
 
+def _restore(core, tenant):
+    """Install ``tenant`` on ``core`` as the front end does: a
+    ``restore`` op in a batch."""
+    reply, = core.handle_batch([{"op": "restore",
+                                 "tenant": tenant.tenant_id,
+                                 "envelope": tenant.snapshot_state()}])
+    assert reply["ok"] is True, reply
+
+
 def test_shard_batch_applies_in_order_then_detects():
     core = ShardCore(0)
     tenant = Tenant.from_attach("t", {"m": 2, "n": 2})
-    core.restore_tenant(tenant.snapshot_state())
+    _restore(core, tenant)
     ops = [
         {"op": "claim", "tenant": "t", "process": "p1", "resource": "q1"},
         {"op": "claim", "tenant": "t", "process": "p2", "resource": "q2"},
@@ -232,7 +241,7 @@ def test_shard_batch_one_reduction_for_many_tenants():
     for i in range(6):
         tenant = Tenant.from_attach(f"t{i}", {"seed": 100 + i,
                                               "m": 8, "n": 8})
-        core.restore_tenant(tenant.snapshot_state())
+        _restore(core, tenant)
         ops.append({"op": "detect", "tenant": f"t{i}"})
     kind, replies = core.handle("batch", ops)
     assert kind == "results"
@@ -243,7 +252,7 @@ def test_shard_batch_one_reduction_for_many_tenants():
 def test_shard_batch_per_op_errors_do_not_poison_batch():
     core = ShardCore(0)
     tenant = Tenant.from_attach("t", {"m": 2, "n": 2})
-    core.restore_tenant(tenant.snapshot_state())
+    _restore(core, tenant)
     ops = [
         {"op": "claim", "tenant": "ghost", "process": "p1",
          "resource": "q1"},
@@ -270,7 +279,7 @@ def test_shard_detect_matches_per_tenant_reduce():
         rag = random_state(10, 10, rng=resolve_rng(seed=500 + i))
         matrix = BitMatrix.from_rag(rag)
         tenant = Tenant(f"t{i}", matrix.copy())
-        core.restore_tenant(tenant.snapshot_state())
+        _restore(core, tenant)
         solo = matrix.copy()
         iterations, passes = solo.reduce()
         expected[f"t{i}"] = (not solo.is_empty(), iterations, passes)
@@ -325,7 +334,7 @@ def test_shard_clean_detect_skips_reduction():
     answered from the cache — no new reduction, same payload."""
     core = ShardCore(0)
     tenant = Tenant.from_attach("t", {"seed": 3, "m": 8, "n": 8})
-    core.restore_tenant(tenant.snapshot_state())
+    _restore(core, tenant)
     first = _detect(core, "t")
     assert core.detect_batches == 1
     again = _detect(core, "t")
@@ -339,7 +348,7 @@ def test_shard_clean_detect_skips_reduction():
 def test_shard_mutation_dirties_the_verdict():
     core = ShardCore(0)
     tenant = Tenant.from_attach("t", {"m": 2, "n": 2})
-    core.restore_tenant(tenant.snapshot_state())
+    _restore(core, tenant)
     assert _detect(core, "t")["deadlock"] is False
     assert core.detect_batches == 1
     # Close a 2-cycle; the cached verdict must be abandoned.
@@ -363,7 +372,7 @@ def test_shard_only_dirty_tenants_reduced():
     core = ShardCore(0)
     for i in range(4):
         tenant = Tenant.from_attach(f"t{i}", {"m": 8, "n": 8})
-        core.restore_tenant(tenant.snapshot_state())
+        _restore(core, tenant)
     detect_all = [{"op": "detect", "tenant": f"t{i}"} for i in range(4)]
     core.handle("batch", detect_all)
     assert core.dirty_reduced == 4
@@ -387,14 +396,14 @@ def test_shard_restore_invalidates_cache_and_slot():
     cached verdict must never answer for the twin."""
     core = ShardCore(0)
     tenant = Tenant.from_attach("t", {"m": 2, "n": 2})
-    core.restore_tenant(tenant.snapshot_state())
+    _restore(core, tenant)
     _detect(core, "t")
     # Build a deadlocked twin out-of-band and restore over the top.
     twin = Tenant.from_attach("t", {"m": 2, "n": 2})
     for process, resource in (("p1", "q1"), ("p2", "q2"),
                               ("p1", "q2"), ("p2", "q1")):
         twin.claim({"process": process, "resource": resource})
-    core.restore_tenant(twin.snapshot_state())
+    _restore(core, twin)
     reply = _detect(core, "t")
     assert reply["deadlock"] is True
     assert reply["op_seq"] == 4
@@ -403,7 +412,7 @@ def test_shard_restore_invalidates_cache_and_slot():
 def test_shard_detach_frees_plane_slot():
     core = ShardCore(0)
     tenant = Tenant.from_attach("t", {"seed": 1, "m": 8, "n": 8})
-    core.restore_tenant(tenant.snapshot_state())
+    _restore(core, tenant)
     _detect(core, "t")
     core.handle("batch", [{"op": "detach", "tenant": "t"}])
     assert "t" not in core.tenants
@@ -411,14 +420,14 @@ def test_shard_detach_frees_plane_slot():
     assert kind == "ok" and reply["tenants"] == 0
     # Reattach and detect again: a fresh reduction, not a stale verdict.
     fresh = Tenant.from_attach("t", {"m": 2, "n": 2})
-    core.restore_tenant(fresh.snapshot_state())
+    _restore(core, fresh)
     assert _detect(core, "t")["deadlock"] is False
 
 
 def test_shard_ping_reports_reduction_tallies():
     core = ShardCore(2)
     tenant = Tenant.from_attach("t", {"seed": 2, "m": 8, "n": 8})
-    core.restore_tenant(tenant.snapshot_state())
+    _restore(core, tenant)
     _detect(core, "t")
     _detect(core, "t")
     kind, reply = core.handle("ping", None)
@@ -435,7 +444,7 @@ def test_shard_obs_counters_attribute_the_win():
     for i in range(3):
         tenant = Tenant.from_attach(f"t{i}", {"seed": 60 + i,
                                               "m": 8, "n": 8})
-        core.restore_tenant(tenant.snapshot_state())
+        _restore(core, tenant)
     detect_all = [{"op": "detect", "tenant": f"t{i}"} for i in range(3)]
     core.handle("batch", detect_all)
     core.handle("batch", detect_all)
@@ -486,8 +495,7 @@ def test_shard_every_single_op_matches_fresh_reduce(m, n):
     for state in enumerate_states(m, n):
         before = _reference_verdict(state)
         for name, t, s in _single_ops(state):
-            core.restore_tenant(
-                Tenant("t", BitMatrix.from_matrix(state)).snapshot_state())
+            _restore(core, Tenant("t", BitMatrix.from_matrix(state)))
             assert _reply_verdict(_detect(core, "t")) == before
             tenant = core.tenants["t"]
             op = {"op": name, "tenant": "t",
