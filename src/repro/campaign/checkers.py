@@ -239,6 +239,54 @@ def _check_backends(rag, params: Mapping[str, Any],
                    detail=f"deadlock={got.deadlock} passes={got.passes}")
 
 
+def _avoidance_traffic(census, events: int, rng: random.Random, rag_of,
+                       decide, withdraw=None) -> tuple:
+    """``events`` random legal ops on ``rag_of()``, each settled with
+    every ``ask_release`` it causes honored (at most 10·|P|·|R|
+    decisions), after which the RAG must be deadlock-free.
+    ``decide(op, process, resource)`` returns the ``ask_release`` pairs
+    or a failure message; ``withdraw`` adds pending-request withdrawals
+    to the ops.  Returns the decisions made and the first failure.
+    """
+    processes, resources, _priorities = census
+    bound = 10 * len(processes) * len(resources)
+    decisions = 0
+    for step in range(events):
+        rag = rag_of()
+        ops: list = []
+        for p in processes:
+            held = set(rag.held_by(p))
+            pending = set(rag.requests_of(p))
+            ops.extend(("request", p, r) for r in resources
+                       if r not in held and r not in pending)
+            ops.extend(("release", p, r) for r in sorted(held))
+            if withdraw is not None:
+                ops.extend(("withdraw", p, r) for r in sorted(pending))
+        if not ops:
+            break
+        demands = [rng.choice(ops)]
+        if demands[0][0] == "withdraw":
+            withdraw(*demands[0][1:])
+            continue
+        cascade = 0
+        while demands:
+            cascade += 1
+            if cascade > bound:
+                return decisions, "ask_release cascade did not converge"
+            op, proc, res = demands.pop(0)
+            decisions += 1
+            asked = decide(op, proc, res)
+            if isinstance(asked, str):
+                return decisions, asked
+            demands.extend(("release", q_proc, q_res)
+                           for q_proc, q_res in asked
+                           if rag_of().holder_of(q_res) == q_proc)
+        if pdda_detect(rag_of()).deadlock:
+            return decisions, (f"RAG deadlocked after event {step} with "
+                               "every ask_release honored")
+    return decisions, None
+
+
 @checker("dau-invariants")
 def _check_dau(census, params: Mapping[str, Any],
                rng: random.Random) -> CheckOutcome:
@@ -252,64 +300,30 @@ def _check_dau(census, params: Mapping[str, Any],
     """
     processes, resources, priorities = census
     dau = DAU(processes, resources, priorities)
-    events = int(params.get("events", 60))
     max_cycles = 0.0
-    decisions = 0
 
-    def obey(decision) -> list:
-        return [(proc, res) for proc, res in decision.ask_release
-                if dau.rag.holder_of(res) == proc]
-
-    for step in range(events):
-        rag = dau.rag
-        ops: list = []
-        for p in processes:
-            held = set(rag.held_by(p))
-            pending = set(rag.requests_of(p))
-            ops.extend(("request", p, r) for r in resources
-                       if r not in held and r not in pending)
-            ops.extend(("release", p, r) for r in sorted(held))
-            ops.extend(("withdraw", p, r) for r in sorted(pending))
-        if not ops:
-            break
-        op, p, r = rng.choice(ops)
-        if op == "withdraw":
-            dau.withdraw(p, r)
-            continue
-        demands = [(op, p, r)]
-        cascade = 0
-        while demands:
-            cascade += 1
-            if cascade > 10 * len(processes) * len(resources):
-                return _failed("ask_release cascade did not converge",
-                               steps=decisions, cycles=max_cycles)
-            this_op, proc, res = demands.pop(0)
-            decision = dau.write_command(f"PE_{proc}", this_op, proc, res)
-            decisions += 1
-            max_cycles = max(max_cycles, decision.cycles)
-            if decision.cycles > dau.worst_case_steps:
-                return _failed(
-                    f"decision cost {decision.cycles} exceeds worst-case "
-                    f"bound {dau.worst_case_steps}",
-                    steps=decisions, cycles=max_cycles)
-            status = dau.read_status(proc)
-            if status.busy or not status.done:
-                return _failed(f"status register of {proc} not settled "
-                               "after a decision", steps=decisions,
-                               cycles=max_cycles)
-            flags = [status.successful, status.pending, status.give_up]
-            if sum(flags) != 1:
-                return _failed(
-                    f"incoherent status flags for {proc}: "
+    def decide(op: str, proc: str, res: str):
+        nonlocal max_cycles
+        decision = dau.write_command(f"PE_{proc}", op, proc, res)
+        max_cycles = max(max_cycles, decision.cycles)
+        if decision.cycles > dau.worst_case_steps:
+            return (f"decision cost {decision.cycles} exceeds worst-case "
+                    f"bound {dau.worst_case_steps}")
+        status = dau.read_status(proc)
+        if status.busy or not status.done:
+            return f"status register of {proc} not settled after a decision"
+        flags = [status.successful, status.pending, status.give_up]
+        if sum(flags) != 1:
+            return (f"incoherent status flags for {proc}: "
                     f"successful={status.successful} "
-                    f"pending={status.pending} give_up={status.give_up}",
-                    steps=decisions, cycles=max_cycles)
-            demands.extend(("release", q_proc, q_res)
-                           for q_proc, q_res in obey(decision))
-        if pdda_detect(dau.rag).deadlock:
-            return _failed(
-                f"RAG deadlocked after event {step} with every "
-                "ask_release honored", steps=decisions, cycles=max_cycles)
+                    f"pending={status.pending} give_up={status.give_up}")
+        return decision.ask_release
+
+    decisions, failure = _avoidance_traffic(
+        census, int(params.get("events", 60)), rng, lambda: dau.rag,
+        decide, withdraw=dau.withdraw)
+    if failure:
+        return _failed(failure, steps=decisions, cycles=max_cycles)
     return _passed(steps=decisions, cycles=max_cycles,
                    detail=f"{decisions} decisions, max "
                           f"{max_cycles:g} cycles")
@@ -363,24 +377,46 @@ def _check_recovery(rag, params: Mapping[str, Any],
                    detail=f"victims={','.join(plan.victims)}")
 
 
-def _ordered_worker(ctx, resources: tuple, work: float):
-    """Acquire in global order (deadlock-free), compute, release."""
-    for resource in resources:
-        yield from ctx.acquire(resource)
-    address = yield from ctx.malloc(4096)
-    yield from ctx.compute(work)
-    yield from ctx.free(address)
-    for resource in reversed(resources):
-        yield from ctx.release_resource(resource)
+def _worker(ctx, work: float, rounds: int = 1, resources: tuple = (),
+            lock: str | None = None, malloc: int = 0):
+    """``rounds`` x (acquire ``resources`` in order, ``lock``, malloc
+    ``malloc`` bytes, compute ``work``, free, unlock, release in
+    reverse); every piece but the compute is optional."""
+    for _ in range(rounds):
+        for resource in resources:
+            yield from ctx.acquire(resource)
+        if lock is not None:
+            yield from ctx.lock(lock)
+        address = (yield from ctx.malloc(malloc)) if malloc else None
+        yield from ctx.compute(work)
+        if malloc:
+            yield from ctx.free(address)
+        if lock is not None:
+            yield from ctx.unlock(lock)
+        for resource in reversed(resources):
+            yield from ctx.release_resource(resource)
 
 
-def _lock_worker(ctx, lock_id: str, work: float):
-    """Lock/compute/unlock plus a malloc/free pair (RTOS5-7 configs)."""
-    yield from ctx.lock(lock_id)
-    address = yield from ctx.malloc(4096)
-    yield from ctx.compute(work)
-    yield from ctx.free(address)
-    yield from ctx.unlock(lock_id)
+def _run_workers(system, draw: Callable, horizon: float) -> tuple:
+    """Task ``p<i>`` = :func:`_worker` with ``draw()``'s arguments at
+    priority ``i`` on ``PE<i>``, run to ``horizon``.  Returns the end
+    time and a failure if a task never finished or leaked, else None."""
+    kernel = system.kernel
+    processes = tuple(f"p{i + 1}" for i in range(system.config.num_pes))
+    for index, name in enumerate(processes):
+        task = draw()
+        kernel.create_task(lambda ctx, task=task: _worker(ctx, **task),
+                           name, index + 1, f"PE{index + 1}")
+    end = kernel.run(until=horizon)
+    if not kernel.finished():
+        unfinished = [name for name in processes
+                      if not kernel.finished(name)]
+        return end, _failed(f"tasks never finished: {unfinished}",
+                            cycles=end)
+    if kernel.leaks:
+        return end, _failed(f"finished with leaks: {kernel.leaks}",
+                            cycles=end)
+    return end, None
 
 
 @checker("sim-run-completes")
@@ -393,41 +429,28 @@ def _check_sim(system, params: Mapping[str, Any],
     computation; the run must finish every task before the horizon with
     no leaked resources.
     """
-    kernel = system.kernel
     resources = tuple(system.config.peripherals)
-    processes = tuple(f"p{i + 1}" for i in range(system.config.num_pes))
-    horizon = float(params.get("horizon", 2_000_000))
     if system.config.soclc:
         # The SoCLC binds named locks to hardware cells up front;
         # ceiling 1 = the highest task priority in this workload.
         for i in range(4):
             system.lock_manager.register_lock(f"L{i}", kind="long",
                                               ceiling=1)
-    for index, name in enumerate(processes):
-        work = float(rng.randint(500, 3000))
-        pe = f"PE{index + 1}"
-        if system.resource_service is not None:
-            count = rng.randint(1, min(3, len(resources)))
-            chosen = tuple(sorted(rng.sample(resources, count),
-                                  key=resources.index))
-            kernel.create_task(
-                lambda ctx, c=chosen, w=work: _ordered_worker(ctx, c, w),
-                name, index + 1, pe)
+
+    def draw() -> dict:
+        task = {"work": float(rng.randint(500, 3000)), "malloc": 4096}
+        if system.resource_service is None:
+            task["lock"] = f"L{rng.randint(0, 3)}"
         else:
-            lock = f"L{rng.randint(0, 3)}"
-            kernel.create_task(
-                lambda ctx, lk=lock, w=work: _lock_worker(ctx, lk, w),
-                name, index + 1, pe)
-    end = kernel.run(until=horizon)
-    if not kernel.finished():
-        unfinished = [name for name in processes
-                      if not kernel.finished(name)]
-        return _failed(f"tasks never finished: {unfinished}",
-                       cycles=end)
-    if kernel.leaks:
-        return _failed(f"finished with leaks: {kernel.leaks}", cycles=end)
-    return _passed(steps=len(processes), cycles=end,
-                   detail=f"{system.name} finished at {end:g}")
+            count = rng.randint(1, min(3, len(resources)))
+            task["resources"] = tuple(sorted(rng.sample(resources, count),
+                                             key=resources.index))
+        return task
+
+    end, failure = _run_workers(system, draw,
+                                float(params.get("horizon", 2_000_000)))
+    return failure or _passed(steps=system.config.num_pes, cycles=end,
+                              detail=f"{system.name} finished at {end:g}")
 
 
 # -- service checkers (the repro.service front end) ---------------------------
@@ -512,6 +535,15 @@ async def _start_service(params: Mapping[str, Any]):
     return service
 
 
+def _draw_op(script: random.Random, oracle) -> tuple:
+    """A scripted claim (60%) or release (40%) of a random cell of the
+    tenant ``oracle``'s matrix, as ``(kind, process, resource)``."""
+    process = f"p{script.randrange(1, oracle.matrix.n + 1)}"
+    resource = f"q{script.randrange(1, oracle.matrix.m + 1)}"
+    return ("release" if script.random() < 0.4 else "claim",
+            process, resource)
+
+
 async def _replay_stream(client, service, population,
                          params: Mapping[str, Any], events: int,
                          script_seed: int) -> tuple[dict, int, str | None]:
@@ -519,7 +551,7 @@ async def _replay_stream(client, service, population,
 
     Each of ``events`` steps sends every tenant one op through
     :func:`replay_op`: a ``detect`` on every fifth step, else a scripted
-    claim (60%) or release (40%).  At the midpoint,
+    claim or release (:func:`_draw_op`).  At the midpoint,
     ``params["migrate"]`` live-migrates every tenant to the next shard
     and ``params["crash"]`` kills the first tenant's shard; neither may
     perturb a single reply.  Returns the oracle twins, the ops checked
@@ -539,11 +571,9 @@ async def _replay_stream(client, service, population,
     for step in range(events):
         for tenant_id, _spec in population:
             oracle = oracles[tenant_id]
-            kind, process, resource = "detect", None, None
-            if not (step and step % 5 == 0):
-                process = f"p{script.randrange(1, oracle.matrix.n + 1)}"
-                resource = f"q{script.randrange(1, oracle.matrix.m + 1)}"
-                kind = "release" if script.random() < 0.4 else "claim"
+            kind, process, resource = (
+                ("detect", None, None) if step and step % 5 == 0
+                else _draw_op(script, oracle))
             mismatch = await replay_op(client, oracle, tenant_id, kind,
                                        process, resource)
             steps += 1
@@ -564,7 +594,8 @@ async def _replay_stream(client, service, population,
 
 @checker("service.vs-local")
 def _check_service(population, params: Mapping[str, Any],
-                   rng: random.Random) -> CheckOutcome:
+                   rng: random.Random, kinds: tuple | None = None,
+                   events: int = 30) -> CheckOutcome:
     """The service's every response matches a local oracle replay.
 
     Spins a real :class:`~repro.service.server.DetectionService` (TCP,
@@ -572,33 +603,63 @@ def _check_service(population, params: Mapping[str, Any],
     seeded claim/release/detect stream (:func:`_replay_stream`) through
     a pipelined client; :func:`replay_op` checks every grant bit,
     promotion, ``op_seq`` and batched detect verdict against a local
-    :class:`~repro.service.tenant.Tenant` twin.
+    :class:`~repro.service.tenant.Tenant` twin.  ``service.chaos-vs-local``
+    runs it with wire fault ``kinds`` (see :func:`_check_service_chaos`).
     """
     import asyncio
 
-    from repro.service import ServiceClient
-
-    events = int(params.get("events", 30))
+    plan = None if kinds is None else _wire_plan(kinds, rng)
+    events = int(params.get("events", events))
     script_seed = rng.randrange(2 ** 31)
 
     async def scenario() -> CheckOutcome:
         service = await _start_service(params)
-        client = await ServiceClient.connect_tcp("127.0.0.1",
-                                                 service.tcp_port)
+        proxy, [client] = await _wire_clients(service.tcp_port, plan,
+                                              ["chaos-client"])
         try:
-            _oracles, steps, mismatch = await _replay_stream(
+            oracles, steps, mismatch = await _replay_stream(
                 client, service, population, params, events, script_seed)
             if mismatch:
                 return _failed(mismatch, steps=steps)
-            stats = await client.stats()
+            if plan is None:
+                stats = await client.stats()
+                return _passed(
+                    steps=steps, cycles=float(stats["batches"]),
+                    detail=(f"{len(population)} tenants x {events} events, "
+                            f"{stats['batches']:g} batches, "
+                            f"migrations={stats['migrations']:g}, "
+                            f"crashes={stats['shard_crashes']:g}"))
+            # Exactly-once differential: the migrate round-trip
+            # re-hashes each tenant server-side; it must equal the
+            # oracle twin that saw every mutation exactly once.
+            alive = [handle.shard_id for handle in service.shards
+                     if handle.alive]
+            for tenant_id, _spec in population:
+                record = service.tenants[tenant_id]
+                target = next((s for s in alive
+                               if s != record.shard_id),
+                              record.shard_id)
+                reply = await client.request(
+                    "migrate", tenant=tenant_id, shard=target)
+                steps += 1
+                expected_hash = oracles[tenant_id].snapshot_state()[
+                    "state_hash"]
+                if reply["state_hash"] != expected_hash:
+                    return _failed(
+                        f"{tenant_id} state_hash diverged after chaos: "
+                        f"{reply['state_hash'][:12]} != oracle "
+                        f"{expected_hash[:12]}", steps=steps)
+            if not any(proxy.fired.values()):
+                return _failed(
+                    f"chaos plan {plan.name!r} never fired", steps=steps)
             return _passed(
-                steps=steps, cycles=float(stats["batches"]),
-                detail=(f"{len(population)} tenants x {events} events, "
-                        f"{stats['batches']:g} batches, "
-                        f"migrations={stats['migrations']:g}, "
-                        f"crashes={stats['shard_crashes']:g}"))
+                steps=steps,
+                detail=(f"{len(population)} tenants x {events} events "
+                        f"under {'+'.join(kinds)}, "
+                        f"plan={plan.plan_hash()[:12]}, "
+                        f"crash={bool(params.get('crash'))}"))
         finally:
-            await client.close()
+            await _close_wire(proxy, [client])
             await service.stop()
 
     return asyncio.run(scenario())
@@ -650,6 +711,46 @@ def _net_chaos_specs(kinds: tuple) -> tuple:
             f"{sorted(table)}") from None
 
 
+def _wire_plan(kinds: tuple, rng: random.Random):
+    """The :class:`NetFaultPlan` of wire fault ``kinds`` (see
+    :func:`_net_chaos_specs`), its seed drawn from ``rng``."""
+    from repro.service import NetFaultPlan
+    return NetFaultPlan(name=f"wire-{'+'.join(kinds)}",
+                        seed=rng.randrange(2 ** 31),
+                        specs=_net_chaos_specs(kinds))
+
+
+async def _wire_clients(port: int, plan, tags: list) -> tuple:
+    """``(proxy, clients)``, one client per tag for the server on
+    ``port``: retrying clients behind a chaos proxy for ``plan``, or
+    with none, plain ones (no proxy) that fail a reply after 30 s
+    rather than wait for the runner's timeout."""
+    from repro.service import (
+        ChaosTransport,
+        ResilientServiceClient,
+        ServiceClient,
+    )
+
+    if plan is None:
+        clients = [await ServiceClient.connect_tcp("127.0.0.1", port)
+                   for _ in tags]
+        for client in clients:
+            client.request_timeout_s = 30.0
+        return None, clients
+    proxy = ChaosTransport(plan, target_port=port)
+    await proxy.start()
+    return proxy, [ResilientServiceClient.tcp(
+        "127.0.0.1", proxy.listen_port, policy=_wire_retry_policy(),
+        seed=plan.seed + index, tag=tag) for index, tag in enumerate(tags)]
+
+
+async def _close_wire(proxy, clients: list) -> None:
+    for client in clients:
+        await client.close()
+    if proxy is not None:
+        await proxy.stop()
+
+
 @checker("service.chaos-vs-local")
 def _check_service_chaos(population, params: Mapping[str, Any],
                          rng: random.Random) -> CheckOutcome:
@@ -672,68 +773,8 @@ def _check_service_chaos(population, params: Mapping[str, Any],
     detail line carries only plan-derived values — never retry or
     timing tallies, which vary run to run.
     """
-    import asyncio
-
-    from repro.service import (
-        ChaosTransport,
-        NetFaultPlan,
-        ResilientServiceClient,
-    )
-
-    kinds = tuple(params.get("chaos", ("drop",)))
-    events = int(params.get("events", 10))
-    plan = NetFaultPlan(name=f"wire-{'+'.join(kinds)}",
-                        seed=rng.randrange(2 ** 31),
-                        specs=_net_chaos_specs(kinds))
-    script_seed = rng.randrange(2 ** 31)
-
-    async def scenario() -> CheckOutcome:
-        service = await _start_service(params)
-        proxy = ChaosTransport(plan, target_port=service.tcp_port)
-        await proxy.start()
-        client = ResilientServiceClient.tcp(
-            "127.0.0.1", proxy.listen_port, policy=_wire_retry_policy(),
-            seed=plan.seed, tag="chaos-client")
-        try:
-            oracles, steps, mismatch = await _replay_stream(
-                client, service, population, params, events, script_seed)
-            if mismatch:
-                return _failed(mismatch, steps=steps)
-            # Exactly-once differential: the migrate round-trip
-            # re-hashes each tenant server-side; it must equal the
-            # oracle twin that saw every mutation exactly once.
-            alive = [handle.shard_id for handle in service.shards
-                     if handle.alive]
-            for tenant_id, _spec in population:
-                record = service.tenants[tenant_id]
-                target = next((s for s in alive
-                               if s != record.shard_id),
-                              record.shard_id)
-                reply = await client.request(
-                    "migrate", tenant=tenant_id, shard=target)
-                steps += 1
-                expected_hash = oracles[tenant_id].snapshot_state()[
-                    "state_hash"]
-                if reply["state_hash"] != expected_hash:
-                    return _failed(
-                        f"{tenant_id} state_hash diverged after chaos: "
-                        f"{reply['state_hash'][:12]} != oracle "
-                        f"{expected_hash[:12]}", steps=steps)
-            if not any(proxy.fired[kind] for kind in kinds):
-                return _failed(
-                    f"chaos plan {plan.name!r} never fired", steps=steps)
-            return _passed(
-                steps=steps,
-                detail=(f"{len(population)} tenants x {events} events "
-                        f"under {'+'.join(kinds)}, "
-                        f"plan={plan.plan_hash()[:12]}, "
-                        f"crash={bool(params.get('crash'))}"))
-        finally:
-            await client.close()
-            await proxy.stop()
-            await service.stop()
-
-    return asyncio.run(scenario())
+    return _check_service(population, params, rng,
+                          tuple(params.get("chaos", ("drop",))), events=10)
 
 
 def _die_with(launcher: int):
@@ -799,11 +840,7 @@ async def _shard_kill_run(population, port: int, params: Mapping[str, Any],
     """Phase 1, the SIGKILL, phase 2 and the rebalance checks."""
     import asyncio
 
-    from repro.service import (
-        ChaosTransport,
-        ResilientServiceClient,
-        ServiceClient,
-    )
+    from repro.service import ServiceClient
     from repro.service.tenant import Tenant
 
     shards = int(params.get("shards", 4))
@@ -819,11 +856,9 @@ async def _shard_kill_run(population, port: int, params: Mapping[str, Any],
         try:
             await client.attach(tenant_id, **spec)
             for step in range(ops):
-                kind, process, resource = "detect", None, None
-                if step % 4 != 3:
-                    process = f"p{script.randrange(1, oracle.matrix.n + 1)}"
-                    resource = f"q{script.randrange(1, oracle.matrix.m + 1)}"
-                    kind = "release" if script.random() < 0.4 else "claim"
+                kind, process, resource = (
+                    _draw_op(script, oracle) if step % 4 != 3
+                    else ("detect", None, None))
                 mismatch = await replay_op(client, oracle, tenant_id, kind,
                                            process, resource)
                 if mismatch:
@@ -846,21 +881,8 @@ async def _shard_kill_run(population, port: int, params: Mapping[str, Any],
     # The admin connection talks straight to the server: the pid lookup
     # and the stats must not be lost to injected faults.
     admin = await ServiceClient.connect_tcp("127.0.0.1", port)
-    proxy = None
-    if plan is not None:
-        proxy = ChaosTransport(plan, target_port=port)
-        await proxy.start()
-        clients = [ResilientServiceClient.tcp(
-            "127.0.0.1", proxy.listen_port, policy=_wire_retry_policy(),
-            seed=plan.seed + index, tag=f"kill{index}")
-            for index in range(_SHARD_KILL_CLIENTS)]
-    else:
-        clients = [await ServiceClient.connect_tcp("127.0.0.1", port)
-                   for _ in range(_SHARD_KILL_CLIENTS)]
-        for client in clients:
-            # A reply that never comes fails the scenario, not the
-            # runner's timeout.
-            client.request_timeout_s = 30.0
+    proxy, clients = await _wire_clients(port, plan, [
+        f"kill{index}" for index in range(_SHARD_KILL_CLIENTS)])
     try:
         half = len(population) // 2
         failures = [f for f in await asyncio.gather(
@@ -917,11 +939,8 @@ async def _shard_kill_run(population, port: int, params: Mapping[str, Any],
                     f"shards, {victim['tenants']} rehomed"
                     + (f", plan={plan.plan_hash()[:12]}" if plan else "")))
     finally:
-        for client in clients:
-            await client.close()
+        await _close_wire(proxy, clients)
         await admin.close()
-        if proxy is not None:
-            await proxy.stop()
 
 
 @checker("service.shard-kill")
@@ -953,14 +972,8 @@ def _check_shard_kill(population, params: Mapping[str, Any],
     """
     import asyncio
 
-    from repro.service import NetFaultPlan
-
     kinds = tuple(params.get("chaos", ()))
-    plan = None
-    if kinds:
-        plan = NetFaultPlan(name=f"wire-{'+'.join(kinds)}",
-                            seed=rng.randrange(2 ** 31),
-                            specs=_net_chaos_specs(kinds))
+    plan = _wire_plan(kinds, rng) if kinds else None
     with tempfile.TemporaryFile() as stderr, \
             _spawn_server(int(params.get("shards", 4)), stderr) as server:
         try:
@@ -979,28 +992,31 @@ def _check_shard_kill(population, params: Mapping[str, Any],
 
 # -- chaos checkers (fault injection for the runner itself) -------------------
 
+def _first_run(params: Mapping[str, Any], note: str) -> bool:
+    """False once ``params["marker"]`` names an existing file; else True,
+    after writing ``note`` to the marker when one is given."""
+    marker = params.get("marker", "")
+    if marker and os.path.exists(marker):
+        return False
+    if marker:
+        with open(marker, "w") as handle:
+            handle.write(f"{note}\n")
+    return True
+
+
 @checker("chaos.crash")
+@checker("chaos.crash_once")
 def _check_crash(subject, params: Mapping[str, Any],
                  rng: random.Random) -> CheckOutcome:
-    """Kill the worker process outright (no Python unwinding)."""
-    os._exit(int(params.get("exit_code", 66)))
+    """Kill the worker process outright (no Python unwinding).
 
-
-@checker("chaos.crash_once")
-def _check_crash_once(subject, params: Mapping[str, Any],
-                      rng: random.Random) -> CheckOutcome:
-    """Crash the worker on the first run, pass on the retry.
-
-    Uses a marker file handed in via ``params["marker"]`` to remember
-    the first attempt across processes — exercises the runner's
-    crash-retry recovery path end to end.
+    With ``params["marker"]`` it crashes once: the marker file is
+    written before the crash, and a run that finds it passes — which
+    exercises the runner's crash-retry recovery path end to end.
     """
-    marker = params.get("marker", "")
-    if marker and not os.path.exists(marker):
-        with open(marker, "w") as handle:
-            handle.write("crashed\n")
-        os._exit(int(params.get("exit_code", 66)))
-    return _passed(detail="survived the retry")
+    if not _first_run(params, "crashed"):
+        return _passed(detail="survived the retry")
+    os._exit(int(params.get("exit_code", 66)))
 
 
 @checker("chaos.hang")
@@ -1012,6 +1028,7 @@ def _check_hang(subject, params: Mapping[str, Any],
 
 
 @checker("chaos.interrupt")
+@checker("chaos.interrupt_once")
 def _check_interrupt(subject, params: Mapping[str, Any],
                      rng: random.Random) -> CheckOutcome:
     """Interrupt the shard worker (Ctrl-C / SIGTERM delivery).
@@ -1019,25 +1036,15 @@ def _check_interrupt(subject, params: Mapping[str, Any],
     With ``params["sigterm"]`` the worker signals itself (exercising
     the runner's SIGTERM -> KeyboardInterrupt handler); otherwise the
     checker raises KeyboardInterrupt directly.  Either way the runner
-    must record a retryable worker loss, not lose the campaign.
+    must record a retryable worker loss, not lose the campaign.  With
+    ``params["marker"]`` it interrupts once, as ``chaos.crash`` crashes.
     """
+    if not _first_run(params, "interrupted"):
+        return _passed(detail="survived the interrupt retry")
     if params.get("sigterm"):
-        import signal as signal_module
-        os.kill(os.getpid(), signal_module.SIGTERM)
+        os.kill(os.getpid(), signal.SIGTERM)
         time.sleep(5.0)  # pragma: no cover - signal lands first
     raise KeyboardInterrupt
-
-
-@checker("chaos.interrupt_once")
-def _check_interrupt_once(subject, params: Mapping[str, Any],
-                          rng: random.Random) -> CheckOutcome:
-    """Interrupt the worker on the first run, pass on the retry."""
-    marker = params.get("marker", "")
-    if marker and not os.path.exists(marker):
-        with open(marker, "w") as handle:
-            handle.write("interrupted\n")
-        raise KeyboardInterrupt
-    return _passed(detail="survived the interrupt retry")
 
 
 # -- fault-injection scenarios (the faults campaign) ---------------------------
@@ -1130,16 +1137,25 @@ def _fault_specs(model: str, params: Mapping[str, Any],
     raise ConfigurationError(f"unknown fault model {model!r}")
 
 
+def _campaign_policy(**overrides):
+    """The campaign-tuned resilience policy: check every invocation,
+    fail over after two anomalies, scrub early, fail back after two
+    clean probes; ``overrides`` replace single fields."""
+    from repro.faults import ResiliencePolicy
+    return ResiliencePolicy(**{
+        "max_retries": 2, "sample_every": 1, "fail_threshold": 2,
+        "recover_after": 2, "scrub_after": 3, **overrides})
+
+
 @generator("preset.faulty")
 def _gen_preset_faulty(params: Mapping[str, Any], rng: random.Random):
     """A built preset with a seeded fault plan installed.
 
     Hooks are armed on every hardware model the preset has, and
-    resilience (cross-checks, health FSM, failover) is enabled with a
-    campaign-tuned policy: check every invocation, fail over after two
-    anomalies, scrub early, fail back after two clean probes.
+    resilience (cross-checks, health FSM, failover) is enabled with
+    :func:`_campaign_policy`.
     """
-    from repro.faults import FaultPlan, ResiliencePolicy, install_fault_plan
+    from repro.faults import FaultPlan, install_fault_plan
     system = build_system(params.get("preset", "RTOS2"))
     model = str(params.get("model", "matrix-transient"))
     plan = FaultPlan(
@@ -1147,10 +1163,7 @@ def _gen_preset_faulty(params: Mapping[str, Any], rng: random.Random):
         specs=_fault_specs(model, params, rng,
                            len(system.config.peripherals),
                            system.config.num_pes))
-    policy = ResiliencePolicy(max_retries=2, sample_every=1,
-                              fail_threshold=2, recover_after=2,
-                              scrub_after=3)
-    install_fault_plan(system, plan, policy=policy)
+    install_fault_plan(system, plan, policy=_campaign_policy())
     return system
 
 
@@ -1213,12 +1226,7 @@ def _check_fault_detection(census, params: Mapping[str, Any],
     ``crash_at_step`` chaos param hard-kills the worker at that event
     on the first attempt only (a restored run never re-crashes).
     """
-    from repro.faults import (
-        FaultInjector,
-        FaultPlan,
-        ResiliencePolicy,
-        ResilientDetector,
-    )
+    from repro.faults import FaultInjector, FaultPlan, ResilientDetector
     from repro.rag.graph import RAG
     processes, resources, priorities = census
     model = str(params.get("model", "cycle-storm"))
@@ -1241,9 +1249,7 @@ def _check_fault_detection(census, params: Mapping[str, Any],
             specs=_fault_specs(model, params, rng,
                                len(resources), len(processes))))
         ddu.faults = injector
-        detector = ResilientDetector(ddu, ResiliencePolicy(
-            max_retries=1, sample_every=1, fail_threshold=2,
-            recover_after=2, scrub_after=3))
+        detector = ResilientDetector(ddu, _campaign_policy(max_retries=1))
         start_step = 0
     for step in range(start_step, events):
         if (crash_at is not None and saved is None
@@ -1285,16 +1291,11 @@ def _check_fault_avoidance(census, params: Mapping[str, Any],
     """Injected DAU faults never publish an unvalidated decision.
 
     Random request/release traffic through a :class:`ResilientAvoider`
-    with every honored ``ask_release`` fed back (bounded cascade, as in
-    ``dau-invariants``); whichever core is authoritative after each
-    settled event, its RAG must be deadlock-free.
+    with every honored ``ask_release`` fed back (see
+    :func:`_avoidance_traffic`); whichever core is authoritative after
+    each settled event, its RAG must be deadlock-free.
     """
-    from repro.faults import (
-        FaultInjector,
-        FaultPlan,
-        ResiliencePolicy,
-        ResilientAvoider,
-    )
+    from repro.faults import FaultInjector, FaultPlan, ResilientAvoider
     processes, resources, priorities = census
     model = str(params.get("model", "command-corrupt"))
     dau = DAU(processes, resources, priorities)
@@ -1304,42 +1305,14 @@ def _check_fault_avoidance(census, params: Mapping[str, Any],
                            len(resources), len(processes))))
     dau.faults = injector
     dau.ddu.faults = injector
-    avoider = ResilientAvoider(dau, ResiliencePolicy(
-        max_retries=2, sample_every=1, fail_threshold=2,
-        recover_after=2, scrub_after=3))
-    events = int(params.get("events", 60))
-    bound = 10 * len(processes) * len(resources)
-    decisions = 0
-    for step in range(events):
-        rag = avoider.active_core.rag
-        ops: list = []
-        for p in processes:
-            held = set(rag.held_by(p))
-            pending = set(rag.requests_of(p))
-            ops.extend(("request", p, r) for r in resources
-                       if r not in held and r not in pending)
-            ops.extend(("release", p, r) for r in sorted(held))
-        if not ops:
-            break
-        demands = [rng.choice(ops)]
-        cascade = 0
-        while demands:
-            cascade += 1
-            if cascade > bound:
-                return _failed("ask_release cascade did not converge",
-                               steps=decisions)
-            op, proc, res = demands.pop(0)
-            outcome = avoider.decide(f"PE_{proc}", op, proc, res)
-            decisions += 1
-            core = avoider.active_core
-            demands.extend(
-                ("release", q_proc, q_res)
-                for q_proc, q_res in outcome.decision.ask_release
-                if core.rag.holder_of(q_res) == q_proc)
-        if pdda_detect(avoider.active_core.rag).deadlock:
-            return _failed(
-                f"authoritative RAG deadlocked after event {step} "
-                f"(mode={avoider.mode})", steps=decisions)
+    avoider = ResilientAvoider(dau, _campaign_policy())
+    decisions, failure = _avoidance_traffic(
+        census, int(params.get("events", 60)), rng,
+        lambda: avoider.active_core.rag,
+        lambda op, proc, res: avoider.decide(
+            f"PE_{proc}", op, proc, res).decision.ask_release)
+    if failure:
+        return _failed(f"{failure} (mode={avoider.mode})", steps=decisions)
     if not injector.records:
         return _failed(f"fault model {model!r} never fired")
     return _passed(
@@ -1406,34 +1379,6 @@ def _check_bus_retries(census, params: Mapping[str, Any],
                            f"{bus.total_transactions} transactions"))
 
 
-def _degrade_resource_worker(ctx, resources: tuple, work: float,
-                             rounds: int):
-    """Globally-ordered full sweep, repeated — heavy detection/avoidance
-    traffic so failover *and* fail-back fit inside one scenario."""
-    for _ in range(rounds):
-        for resource in resources:
-            yield from ctx.acquire(resource)
-        yield from ctx.compute(work)
-        for resource in reversed(resources):
-            yield from ctx.release_resource(resource)
-
-
-def _degrade_lock_worker(ctx, lock_id: str, work: float, rounds: int):
-    """Repeated contention on one shared SoCLC lock (grant hand-offs)."""
-    for _ in range(rounds):
-        yield from ctx.lock(lock_id)
-        yield from ctx.compute(work)
-        yield from ctx.unlock(lock_id)
-
-
-def _degrade_heap_worker(ctx, work: float, rounds: int):
-    """Repeated malloc/compute/free through the (faulted) SoCDMMU."""
-    for _ in range(rounds):
-        address = yield from ctx.malloc(8192)
-        yield from ctx.compute(work)
-        yield from ctx.free(address)
-
-
 @checker("faults.degrades-gracefully")
 def _check_degrade(system, params: Mapping[str, Any],
                    rng: random.Random) -> CheckOutcome:
@@ -1445,37 +1390,25 @@ def _check_degrade(system, params: Mapping[str, Any],
     the event kinds named in ``params["expect"]`` must all have been
     observed (e.g. a full failover *and* fail-back).
     """
-    kernel = system.kernel
-    rounds = int(params.get("rounds", 2))
-    horizon = float(params.get("horizon", 4_000_000))
-    resources = tuple(system.config.peripherals)
-    processes = tuple(f"p{i + 1}" for i in range(system.config.num_pes))
+    # Each task repeats one of three loops: a full sweep of the
+    # resources in global order (heavy detection/avoidance traffic, so
+    # failover *and* fail-back fit in one scenario), contention on one
+    # shared SoCLC lock, or malloc/compute/free through the SoCDMMU.
     if system.config.soclc:
         system.lock_manager.register_lock("L0", kind="long", ceiling=1)
-    for index, name in enumerate(processes):
-        work = float(rng.randint(300, 1200))
-        pe = f"PE{index + 1}"
-        if system.resource_service is not None:
-            kernel.create_task(
-                lambda ctx, w=work: _degrade_resource_worker(
-                    ctx, resources, w, rounds),
-                name, index + 1, pe)
-        elif system.config.soclc:
-            kernel.create_task(
-                lambda ctx, w=work: _degrade_lock_worker(
-                    ctx, "L0", w, rounds),
-                name, index + 1, pe)
-        else:
-            kernel.create_task(
-                lambda ctx, w=work: _degrade_heap_worker(ctx, w, rounds),
-                name, index + 1, pe)
-    end = kernel.run(until=horizon)
-    if not kernel.finished():
-        unfinished = [name for name in processes
-                      if not kernel.finished(name)]
-        return _failed(f"tasks never finished: {unfinished}", cycles=end)
-    if kernel.leaks:
-        return _failed(f"finished with leaks: {kernel.leaks}", cycles=end)
+    if system.resource_service is not None:
+        task = {"resources": tuple(system.config.peripherals)}
+    elif system.config.soclc:
+        task = {"lock": "L0"}
+    else:
+        task = {"malloc": 8192}
+    rounds = int(params.get("rounds", 2))
+    end, failure = _run_workers(
+        system, lambda: {**task, "rounds": rounds,
+                         "work": float(rng.randint(300, 1200))},
+        float(params.get("horizon", 4_000_000)))
+    if failure:
+        return failure
     observed: set = set()
     service = system.resource_service
     if service is not None:
@@ -1521,15 +1454,6 @@ def _check_degrade(system, params: Mapping[str, Any],
 
 # -- memory-pressure checkers (the SoCDMMU under stress) ----------------------
 
-def _pressure_policy(params: Mapping[str, Any]):
-    """The campaign-tuned OOM-ladder policy (small, fast thresholds)."""
-    from repro.faults import ResiliencePolicy
-    return ResiliencePolicy(
-        max_retries=2, sample_every=1, fail_threshold=2,
-        recover_after=2, scrub_after=3,
-        audit_every=int(params.get("audit_every", 1)))
-
-
 @generator("preset.pressure")
 def _gen_preset_pressure(params: Mapping[str, Any], rng: random.Random):
     """A small-pool RTOS7 tuned for memory pressure.
@@ -1553,8 +1477,9 @@ def _gen_preset_pressure(params: Mapping[str, Any], rng: random.Random):
     specs = () if model == "none" else _fault_specs(
         model, params, rng, blocks, system.config.num_pes)
     plan = FaultPlan(name=f"memory-pressure-{model}", specs=specs)
-    policy = (_pressure_policy(params)
-              if params.get("resilience", True) else None)
+    policy = (_campaign_policy(
+        audit_every=int(params.get("audit_every", 1)))
+        if params.get("resilience", True) else None)
     install_fault_plan(system, plan, policy=policy)
     return system
 
@@ -1947,8 +1872,8 @@ def _check_vs_software(system, params: Mapping[str, Any],
                            rng.randint(1, 3) * block_bytes))
             live.add(slot)
     traces = {}
-    for label, target in (("hardware", system),
-                          ("software", build_system("RTOS5"))):
+    software = build_system("RTOS5")
+    for label, target in (("hardware", system), ("software", software)):
         trace: list = []
         target.kernel.create_task(
             lambda ctx, heap=target.heap, t=trace:
@@ -1982,11 +1907,13 @@ def _check_vs_software(system, params: Mapping[str, Any],
         return _failed(
             f"SoCDMMU worst case {max(hw_mallocs)} cycles exceeds the "
             f"software heap's {max(sw_mallocs)}")
-    hw_heap, sw_heap = system.heap, None
-    if hw_heap.allocator.used_blocks != 0:
+    if system.heap.allocator.used_blocks != 0:
         return _failed(
-            f"{hw_heap.allocator.used_blocks} blocks leaked by the "
+            f"{system.heap.allocator.used_blocks} blocks leaked by the "
             "hardware run")
+    if software.heap.in_use_bytes != 0:
+        return _failed(
+            f"{software.heap.in_use_bytes} bytes leaked by the software run")
     return _passed(
         steps=len(script),
         cycles=float(sum(delta for _, delta in hw)),

@@ -3,10 +3,11 @@
 The paper's DDU serves one kernel; this package serves *populations*:
 an asyncio front end multiplexes thousands of tenants — each a
 (tasks x resources) RAG instance — over a pool of worker shards, and
-each tick's ``detect`` requests are answered by **one** batched
-Algorithm-1 reduction (:mod:`repro.rag.batch`) instead of N sequential
-per-tenant passes.  See ``docs/service.md`` for the wire protocol,
-batching-tick semantics, backpressure, and live migration.
+each tick's ``detect`` requests are answered together: one
+Algorithm-1 reduction (``BitMatrix.reduce``) per tenant whose state
+moved since its last verdict, the rest from a verdict cache (see
+:mod:`repro.rag.batch`).  See ``docs/service.md`` for the wire
+protocol, batching-tick semantics, backpressure, and live migration.
 
 Layering:
 

@@ -719,6 +719,11 @@ class DetectionService:
             batches.setdefault(record.shard_id, []).append(queued)
             record.inflight += 1
         for shard_id, batch in batches.items():
+            if not self.shards[shard_id].alive:
+                # Recovery rehomes a dead shard's tenants while any
+                # shard lives, so only a dead pool lands here.
+                self._lose(batch)
+                continue
             ops = [queued.message for queued in batch]
             self._c_batches.inc()
             self._h_batch.observe(len(ops))
@@ -802,6 +807,18 @@ class DetectionService:
         for tenant_id in refresh:
             asyncio.ensure_future(self._refresh_snapshot(tenant_id))
 
+    def _lose(self, batch: list) -> None:
+        """Answer ``shard-lost`` to ops that no live shard can take."""
+        for queued in batch:
+            record = self.tenants.get(queued.message["tenant"])
+            if record is not None:
+                record.inflight = max(0, record.inflight - 1)
+            self._c_errors.inc()
+            self._fail_attach(queued.message)
+            self._settle(queued, error_response(
+                queued.message, "shard-lost",
+                "no shard alive to recover onto"))
+
     def _fail_attach(self, message: dict) -> None:
         """Drop the provisional record of an attach that was refused."""
         if message["op"] == "attach":
@@ -857,10 +874,7 @@ class DetectionService:
             record.inflight = 0
             target = self._least_loaded_shard()
             if target is None:
-                for queued in requeue:
-                    self._settle(queued, error_response(
-                        queued.message, "shard-lost",
-                        "no shard alive to recover onto"))
+                self._lose(requeue)
                 return
             self._place(record, target.shard_id)
             self._c_rebalanced.inc()

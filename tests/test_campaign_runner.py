@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from repro.campaign import (
+    CHECKERS,
     CampaignRunner,
     CampaignSpec,
     ScenarioSpec,
@@ -177,6 +178,19 @@ class TestFaultIsolation:
         honest = [r for r in run.results
                   if r.scenario_id.startswith("honest/")]
         assert all(r.verdict == "pass" for r in honest)
+
+    @pytest.mark.parametrize("name", ["chaos.interrupt",
+                                      "chaos.interrupt_once"])
+    def test_interrupt_names_share_the_marker_rule(self, name, tmp_path):
+        check = CHECKERS[name]
+        with pytest.raises(KeyboardInterrupt):
+            check(None, {}, None)           # no marker: every time
+        marker = tmp_path / "marker"
+        with pytest.raises(KeyboardInterrupt):
+            check(None, {"marker": str(marker)}, None)
+        assert marker.read_text() == "interrupted\n"
+        assert check(None, {"marker": str(marker)}, None).verdict == "pass"
+        assert CHECKERS["chaos.crash"] is CHECKERS["chaos.crash_once"]
 
     def test_per_task_timeout_keeps_the_shard_going(self):
         campaign = _campaign(

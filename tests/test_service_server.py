@@ -428,6 +428,24 @@ def test_inprocess_shard_crash_recovers_tenants():
     _run(scenario())
 
 
+def test_op_after_the_last_shard_dies_is_answered_shard_lost():
+    """With no shard alive, recovery has nowhere to rehome a tenant:
+    its next op is answered ``shard-lost``, not left pending."""
+    async def scenario():
+        service, client = await _started(ServiceConfig(
+            shards=1, use_processes=False, tick_interval=0.001))
+        try:
+            await client.attach("t0", m=4, n=4)
+            service.shards[0].crash()
+            with pytest.raises(ServiceOpError) as excinfo:
+                await asyncio.wait_for(client.claim("t0", "p1", "q1"), 3.0)
+            assert excinfo.value.code == "shard-lost"
+            assert (await client.stats())["pending"] == 0
+        finally:
+            await _stop(service, client)
+    _run(scenario())
+
+
 @pytest.mark.parametrize("snapshot_every,base", [(64, "attach"),
                                                  (2, "restore")],
                          ids=["attach-base", "restore-base"])
